@@ -7,13 +7,16 @@ import (
 )
 
 // critDiff is the golden differential mode: when on, every network the
-// open-loop experiments build runs with criticality-aware arbitration
-// enabled, and every GS1280 additionally flattens all protocol packets
-// (and the memory controllers' background writes) into one forced class.
-// A single-class population makes the criticality arbiter degenerate to
-// FIFO — see network.Packet's enqueue-age invariant — so in this mode
-// every experiment must reproduce its flag-off output byte for byte.
-// internal/runner's golden tests toggle it around full suite replays.
+// experiments build for a single-class population — each openPoint without
+// a criticality mix, and degraded-map's probes — runs with
+// criticality-aware arbitration enabled, and every GS1280 additionally
+// flattens all protocol packets (and the memory controllers' background
+// writes) into one forced class. A single-class population makes the
+// criticality arbiter degenerate to FIFO — see network.Packet's
+// enqueue-age invariant — so in this mode every experiment without a
+// mixed population must reproduce its flag-off output byte for byte. The
+// tail-satur and tail-degraded points inject a mix, so the mode leaves
+// them alone. internal/runner's golden tests toggle it around replays.
 var critDiff struct {
 	on     bool
 	forced network.Criticality

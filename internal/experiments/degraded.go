@@ -2,11 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"gs1280/internal/network"
 	"gs1280/internal/sim"
 	"gs1280/internal/topology"
-	"gs1280/internal/traffic"
 )
 
 // The degraded-* experiments quantify what the torus's path diversity —
@@ -73,79 +73,24 @@ func scheduleFaults(net *network.Network, topo *topology.Topology, level int, wa
 	}
 }
 
-// degradedSaturPoint measures one (faults, routing, rate) sample of the
-// degraded saturation sweep: uniform traffic on the 64-CPU (8x8) torus,
-// exactly saturPoint's simulation — same seed derivation, same windows —
-// plus level cable failures during warmup. At level 0 no event is
-// scheduled and the measured cells reproduce satur-uniform byte for byte.
-func degradedSaturPoint(env *Env, level int, v saturVariant, vi, ri int, ratePerUs float64,
-	warm, measure sim.Time) Part {
-	topo := topology.NewTorus(8, 8)
-	res := saturRunPrep(env.Engine(), topo, topology.RouteAdaptive, v.disableAdaptive,
-		traffic.Uniform(), ratePerUs, warm, measure, uint64(vi*104729+ri*7919+1),
-		func(net *network.Network) { scheduleFaults(net, topo, level, warm) })
-	return Part{Rows: [][]string{{
-		v.name,
-		fmt.Sprintf("%d", level),
-		fmt.Sprintf("%g", ratePerUs),
-		f1(res.DeliveredMBs()),
-		f1(res.AvgLatencyNs()),
-		f1(res.AcceptedFrac() * 100),
-		f1(res.AvgLinkUtil * 100),
-		f1(res.MaxLinkUtil * 100),
-		fmt.Sprintf("%d", res.PeakQueued),
-		fmt.Sprintf("%d", res.Reroutes),
-		fmt.Sprintf("%d", res.NonMinimalHops),
-	}}}
+// faultAxis is a level axis over counts of failed cables.
+func faultAxis(counts ...float64) *openLevel {
+	return &openLevel{key: "f", header: "failed cables", full: counts, quick: counts,
+		set: func(p *openPoint, v float64) { p.faults = int(v) }}
 }
 
-// degradedSaturSpec exposes the degraded saturation sweep as one unit per
-// (faults, routing, rate) point.
-func degradedSaturSpec() Spec {
-	plan := func(q bool) ([]float64, sim.Time, sim.Time) {
-		if q {
-			return saturQuickRates, quickWarm, quickMeasure
-		}
-		return SaturRates, 15 * sim.Microsecond, 40 * sim.Microsecond
-	}
-	return Spec{
-		ID: "degraded-satur",
-		Units: func(q bool) []Unit {
-			rates, warm, measure := plan(q)
-			type point struct {
-				level, vi, ri int
-				v             saturVariant
-				ratePerUs     float64
-			}
-			var points []point
-			for _, level := range DegradedFaultLevels {
-				for vi, v := range saturVariants {
-					for ri, r := range rates {
-						points = append(points, point{level: level, vi: vi, ri: ri, v: v, ratePerUs: r})
-					}
-				}
-			}
-			return sweepUnits(points,
-				func(p point) string {
-					return fmt.Sprintf("degraded-satur[f=%d,%s,r=%g]", p.level, p.v.name, p.ratePerUs)
-				},
-				func(env *Env, p point) Part {
-					return degradedSaturPoint(env, p.level, p.v, p.vi, p.ri, p.ratePerUs, warm, measure)
-				})
-		},
-		Assemble: func(_ bool, parts []Part) *Table {
-			t := assemble(&Table{
-				ID:    "degraded-satur",
-				Title: "Degraded fabric: uniform saturation sweep on the 64P (8x8) torus with failed cables",
-				Header: []string{"routing", "failed cables", "offered pkts/node/us", "delivered MB/s",
-					"avg latency ns", "accepted %", "avg util %", "max util %", "peak queue",
-					"reroutes", "non-minimal hops"},
-			}, parts)
-			t.AddNote("0-fault rows reproduce satur-uniform byte-identically; faults land mid-warmup so the window sees steady degraded state")
-			t.AddNote("each failed wrap cable lowers the knee and taxes latency with non-minimal detour hops")
-			return t
-		},
-	}
+// degradedSatur is satur-uniform plus a failed-cables axis (the
+// DegradedFaultLevels) and the fault-recovery counters.
+var degradedSatur = &openFamily{
+	id:       "degraded-satur",
+	title:    "Degraded fabric: uniform saturation sweep on the 64P (8x8) torus with failed cables",
+	variants: routings,
+	level:    faultAxis(0, 1, 2),
+	cols:     slices.Concat(saturCols, []openCol{colReroutes, colNonMinimal}),
+	notes: []string{
+		"0-fault rows reproduce satur-uniform byte-identically; faults land mid-warmup so the window sees steady degraded state",
+		"each failed wrap cable lowers the knee and taxes latency with non-minimal detour hops",
+	},
 }
 
 // degradedMapDistRows is the row space of the degraded latency map: one
@@ -185,7 +130,9 @@ func probeLatency(net *network.Network, src, dst topology.NodeID) sim.Time {
 // each sample is the pure degraded path latency.
 func degradedMapColumn(env *Env, wiring int, level int) Part {
 	topo := degradedMapWirings[wiring].mk()
-	net := network.New(env.Engine(), topo, network.DefaultParams())
+	params := network.DefaultParams()
+	params.CritArb = critDiff.on // single-class probes: see critDiff
+	net := network.New(env.Engine(), topo, params)
 	for _, k := range degradedFaults(topo, level) {
 		net.FailLink(k)
 	}

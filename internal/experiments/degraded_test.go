@@ -1,46 +1,10 @@
 package experiments
 
 import (
-	"reflect"
 	"testing"
 
 	"gs1280/internal/topology"
 )
-
-// TestDegradedHealthyRowsMatchSaturUniform pins the acceptance identity:
-// with an empty failure set, degraded-satur is satur-uniform — every
-// measured cell byte-identical, because a nil prep hook schedules nothing
-// and the simulation replays bit for bit.
-func TestDegradedHealthyRowsMatchSaturUniform(t *testing.T) {
-	base, err := Run("satur-uniform", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deg, err := Run("degraded-satur", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var healthy [][]string
-	for _, r := range deg.Rows {
-		if r[1] != "0" {
-			continue
-		}
-		// Shared columns: routing, rate, then the six measured cells
-		// (delivered MB/s .. peak queue).
-		healthy = append(healthy, append([]string{r[0]}, r[2:9]...))
-		if r[9] != "0" || r[10] != "0" {
-			t.Errorf("healthy row %v has nonzero fault counters", r)
-		}
-	}
-	if len(healthy) != len(base.Rows) {
-		t.Fatalf("degraded-satur has %d healthy rows, satur-uniform %d", len(healthy), len(base.Rows))
-	}
-	for i := range healthy {
-		if !reflect.DeepEqual(healthy[i], base.Rows[i]) {
-			t.Errorf("healthy row %d diverges:\ndegraded: %v\nbaseline: %v", i, healthy[i], base.Rows[i])
-		}
-	}
-}
 
 // TestDegradedSaturSingleFaultFinite pins the acceptance shape of the
 // single-cable-failure sweep on the 8x8 torus: every sample still
@@ -109,38 +73,6 @@ func TestDegradedMapShape(t *testing.T) {
 	healthy, oneFault, twoFault := parse(t, avg[1]), parse(t, avg[2]), parse(t, avg[3])
 	if oneFault < healthy || twoFault < oneFault {
 		t.Errorf("average latency not monotone in faults: %v / %v / %v", healthy, oneFault, twoFault)
-	}
-}
-
-// TestEngineReuseNoCounterLeak is the engine-pooling regression guard: a
-// sweep unit run on a worker's reused engine — after another unit dirtied
-// it with link faults, reroutes and degraded traffic — must produce
-// exactly the rows it produces on a fresh engine. Network counters,
-// link stats and adaptive occupancy all live on the per-unit network, and
-// Engine.Reset restores the clock and sequence stream, so nothing may
-// carry over.
-func TestEngineReuseNoCounterLeak(t *testing.T) {
-	fresh := saturPoint(nil, "satur-uniform", saturVariants[0], 20, 42, quickWarm, quickMeasure)
-
-	env := NewEnv()
-	env.BeginUnit()
-	first := saturPoint(env, "satur-uniform", saturVariants[0], 20, 42, quickWarm, quickMeasure)
-	// Dirty the pooled engine: a degraded unit that fails two cables and
-	// reroutes traffic mid-run.
-	env.BeginUnit()
-	_ = degradedSaturPoint(env, 2, saturVariants[0], 0, 2, 60, quickWarm, quickMeasure)
-	// And a latency-map unit that fails links at time zero.
-	env.BeginUnit()
-	_ = degradedMapColumn(env, 0, 2)
-	// The same unit again on the reused engine must replay bit for bit.
-	env.BeginUnit()
-	again := saturPoint(env, "satur-uniform", saturVariants[0], 20, 42, quickWarm, quickMeasure)
-
-	if !reflect.DeepEqual(fresh, first) {
-		t.Errorf("pooled first run diverges from fresh engine:\n%v\n%v", first, fresh)
-	}
-	if !reflect.DeepEqual(first, again) {
-		t.Errorf("reused engine leaked state across units:\n%v\n%v", first, again)
 	}
 }
 

@@ -2,10 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
-	"gs1280/internal/network"
 	"gs1280/internal/sim"
-	"gs1280/internal/topology"
 	"gs1280/internal/traffic"
 )
 
@@ -25,214 +24,45 @@ var FlakyBERLevels = []float64{0, 0.001, 0.01, 0.05}
 
 var flakyQuickBERs = []float64{0, 0.01}
 
-// flakyRun executes one offered-load point with a fabric-wide error rate:
-// exactly saturRunPrep's simulation — same params, same traffic config,
-// same seed derivation — plus the error model split evenly between drops
-// and corruptions. At ber 0 no error knob is set, so the network takes
-// the identical construction path and the run is bit-identical to
-// saturRun.
-func flakyRun(eng *sim.Engine, topo *topology.Topology, disableAdaptive bool, ber float64,
-	ratePerUs float64, warm, measure sim.Time, seed uint64) traffic.Result {
-	params := network.DefaultParams()
-	params.Policy = topology.RouteAdaptive
-	params.DisableAdaptive = disableAdaptive
-	if critDiff.on {
-		params.CritArb = true
-	}
-	if ber > 0 {
-		params.LinkDropRate = ber / 2
-		params.LinkCorruptRate = ber / 2
-		params.LinkErrorSeed = 1
-	}
-	net := network.New(eng, topo, params)
-	return traffic.Run(net, traffic.Config{
-		Pattern: traffic.Uniform(),
-		Rate:    ratePerUs / 1000,
-		Class:   network.Request,
-		Size:    network.DataPacketSize,
-		Seed:    seed,
-		Warmup:  warm,
-		Measure: measure,
-	})
+// flakySatur is satur-uniform plus a fabric-wide bit-error-rate axis and
+// the reliable-link counters. The seed ignores the ber, so the ber=0 rows
+// replay satur-uniform's exact simulations.
+var flakySatur = &openFamily{
+	id:       "flaky-satur",
+	title:    "Flaky fabric: uniform saturation sweep vs per-hop bit-error rate on the 64P (8x8) torus",
+	variants: routings,
+	level: &openLevel{key: "ber", header: "ber", full: FlakyBERLevels, quick: flakyQuickBERs,
+		set: func(p *openPoint, v float64) { p.ber = v }},
+	cols: slices.Concat(saturCols, []openCol{colP99, colRetransmits, colDroppedHops, colAckMsgs}),
+	notes: []string{
+		"ber=0 rows reproduce satur-uniform byte-identically: at probability zero the reliable layer is never installed",
+		"errors split evenly between wire drops and CRC corruptions; retransmission keeps delivery exact while p99 pays the recovery tax",
+	},
 }
 
-// flakySaturPoint measures one (routing, ber, rate) sample on the 64-CPU
-// (8x8) torus. The seed depends only on (routing, rate) — not ber — so
-// the ber=0 rows replay satur-uniform's exact simulations.
-func flakySaturPoint(env *Env, v saturVariant, vi, ri int, ber, ratePerUs float64,
-	warm, measure sim.Time) Part {
-	topo := topology.NewTorus(8, 8)
-	res := flakyRun(env.Engine(), topo, v.disableAdaptive, ber, ratePerUs, warm, measure,
-		uint64(vi*104729+ri*7919+1))
-	return Part{Rows: [][]string{{
-		v.name,
-		fmt.Sprintf("%g", ber),
-		fmt.Sprintf("%g", ratePerUs),
-		f1(res.DeliveredMBs()),
-		f1(res.AvgLatencyNs()),
-		f1(res.AcceptedFrac() * 100),
-		f1(res.AvgLinkUtil * 100),
-		f1(res.MaxLinkUtil * 100),
-		fmt.Sprintf("%d", res.PeakQueued),
-		fq(res.Lat.P99),
-		fmt.Sprintf("%d", res.Retransmits),
-		fmt.Sprintf("%d", res.DroppedHops),
-		fmt.Sprintf("%d", res.AckMsgs),
-	}}}
-}
-
-// flakySaturSpec exposes the BER sweep as one unit per (ber, routing,
-// rate) point.
-func flakySaturSpec() Spec {
-	plan := func(q bool) ([]float64, []float64, sim.Time, sim.Time) {
-		if q {
-			return flakyQuickBERs, saturQuickRates, quickWarm, quickMeasure
-		}
-		return FlakyBERLevels, SaturRates, 15 * sim.Microsecond, 40 * sim.Microsecond
-	}
-	return Spec{
-		ID: "flaky-satur",
-		Units: func(q bool) []Unit {
-			bers, rates, warm, measure := plan(q)
-			type point struct {
-				vi, ri    int
-				v         saturVariant
-				ber, rate float64
-			}
-			var points []point
-			for _, ber := range bers {
-				for vi, v := range saturVariants {
-					for ri, r := range rates {
-						points = append(points, point{vi: vi, ri: ri, v: v, ber: ber, rate: r})
-					}
-				}
-			}
-			return sweepUnits(points,
-				func(p point) string {
-					return fmt.Sprintf("flaky-satur[ber=%g,%s,r=%g]", p.ber, p.v.name, p.rate)
-				},
-				func(env *Env, p point) Part {
-					return flakySaturPoint(env, p.v, p.vi, p.ri, p.ber, p.rate, warm, measure)
-				})
-		},
-		Assemble: func(_ bool, parts []Part) *Table {
-			t := assemble(&Table{
-				ID:    "flaky-satur",
-				Title: "Flaky fabric: uniform saturation sweep vs per-hop bit-error rate on the 64P (8x8) torus",
-				Header: []string{"routing", "ber", "offered pkts/node/us", "delivered MB/s",
-					"avg latency ns", "accepted %", "avg util %", "max util %", "peak queue",
-					"p99 ns", "retransmits", "dropped hops", "ack msgs"},
-			}, parts)
-			t.AddNote("ber=0 rows reproduce satur-uniform byte-identically: at probability zero the reliable layer is never installed")
-			t.AddNote("errors split evenly between wire drops and CRC corruptions; retransmission keeps delivery exact while p99 pays the recovery tax")
-			return t
-		},
-	}
-}
-
-// flakyQuarMode is one quarantine policy of the ablation.
-type flakyQuarMode struct {
-	name      string
-	threshold int
-	probation sim.Time
-}
-
-var flakyQuarModes = []flakyQuarMode{
-	{"off", 0, 0},
-	{"quarantine", 8, 0},
-	{"probation", 8, 5 * sim.Microsecond},
-}
-
-// flakyBadCable is the chronically bad link of the quarantine ablation:
-// the row-0 X wrap cable, the same cable degradedFaults amputates — here
-// it stays in service at a 20% hop-error rate until policy removes it.
-func flakyBadCable(topo *topology.Topology) topology.LinkKey {
-	return topology.LinkKey{
-		From: topo.Node(topology.Coord{X: topo.W - 1, Y: 0}),
-		To:   topo.Node(topology.Coord{X: 0, Y: 0}), Dir: topology.East}
-}
-
-// flakyQuarPoint measures one (mode, rate) sample: uniform traffic on the
-// 8x8 torus with one 20%-error cable, under the given quarantine policy.
-// The seed depends only on the rate, so modes ablate the policy against
-// identical traffic.
-func flakyQuarPoint(env *Env, m flakyQuarMode, ri int, ratePerUs float64, warm, measure sim.Time) Part {
-	topo := topology.NewTorus(8, 8)
-	params := network.DefaultParams()
-	params.QuarantineThreshold = m.threshold
-	params.QuarantineProbation = m.probation
-	net := network.New(env.Engine(), topo, params)
-	net.SetLinkError(flakyBadCable(topo), 0.1, 0.1)
-	res := traffic.Run(net, traffic.Config{
-		Pattern: traffic.Uniform(),
-		Rate:    ratePerUs / 1000,
-		Class:   network.Request,
-		Size:    network.DataPacketSize,
-		Seed:    uint64(ri*7919 + 1),
-		Warmup:  warm,
-		Measure: measure,
-	})
-	return Part{Rows: [][]string{{
-		m.name,
-		fmt.Sprintf("%g", ratePerUs),
-		f1(res.DeliveredMBs()),
-		f1(res.AvgLatencyNs()),
-		fq(res.Lat.P99),
-		fq(res.RetryLat.P99),
-		fmt.Sprintf("%d", res.Retransmits),
-		fmt.Sprintf("%d", res.DroppedHops),
-		fmt.Sprintf("%d", res.AckMsgs),
-		fmt.Sprintf("%d", res.Quarantines),
-		fmt.Sprintf("%d", res.Reroutes),
-		fmt.Sprintf("%d", res.NonMinimalHops),
-	}}}
-}
-
-// flakyQuarantineSpec exposes the quarantine ablation as one unit per
-// (mode, rate) point.
-func flakyQuarantineSpec() Spec {
-	plan := func(q bool) ([]float64, sim.Time, sim.Time) {
-		if q {
-			return saturQuickRates, quickWarm, quickMeasure
-		}
-		return SaturRates, 15 * sim.Microsecond, 40 * sim.Microsecond
-	}
-	return Spec{
-		ID: "flaky-quarantine",
-		Units: func(q bool) []Unit {
-			rates, warm, measure := plan(q)
-			type point struct {
-				mi, ri int
-				m      flakyQuarMode
-				rate   float64
-			}
-			var points []point
-			for mi, m := range flakyQuarModes {
-				for ri, r := range rates {
-					points = append(points, point{mi: mi, ri: ri, m: m, rate: r})
-				}
-			}
-			return sweepUnits(points,
-				func(p point) string {
-					return fmt.Sprintf("flaky-quarantine[%s,r=%g]", p.m.name, p.rate)
-				},
-				func(env *Env, p point) Part {
-					return flakyQuarPoint(env, p.m, p.ri, p.rate, warm, measure)
-				})
-		},
-		Assemble: func(_ bool, parts []Part) *Table {
-			t := assemble(&Table{
-				ID:    "flaky-quarantine",
-				Title: "Flaky fabric: auto-quarantine ablation with one 20%-error wrap cable, uniform traffic, 8x8",
-				Header: []string{"mode", "offered pkts/node/us", "delivered MB/s", "avg latency ns",
-					"p99 ns", "retry p99 ns", "retransmits", "dropped hops", "ack msgs",
-					"quarantines", "reroutes", "non-minimal hops"},
-			}, parts)
-			t.AddNote("off: every hop over the bad cable gambles; quarantine: the error-rate monitor hands it to FailLink and traffic detours")
-			t.AddNote("probation restores the cable after 5us; a still-bad cable re-trips the threshold and flaps back out")
-			return t
-		},
-	}
+// flakyQuarantine ablates the quarantine policy on the 8x8 torus with one
+// 20%-error cable — the row-0 X wrap that degradedFaults amputates, here
+// left in service until policy removes it. Every mode gets the same
+// traffic.
+var flakyQuarantine = &openFamily{
+	id:    "flaky-quarantine",
+	title: "Flaky fabric: auto-quarantine ablation with one 20%-error wrap cable, uniform traffic, 8x8",
+	base:  openPoint{badCable: 0.2},
+	variants: openAxis{"mode", []openVariant{
+		{"off", func(*openPoint) {}},
+		{"quarantine", func(p *openPoint) { p.quarThreshold = 8 }},
+		{"probation", func(p *openPoint) { p.quarThreshold, p.quarProbation = 8, 5*sim.Microsecond }},
+	}},
+	sameSeed: true,
+	cols: []openCol{colDelivered, colLatency, colP99,
+		{"retry p99 ns", func(r traffic.Result) string { return fq(r.RetryLat.P99) }},
+		colRetransmits, colDroppedHops, colAckMsgs,
+		{"quarantines", func(r traffic.Result) string { return fmt.Sprint(r.Quarantines) }},
+		colReroutes, colNonMinimal},
+	notes: []string{
+		"off: every hop over the bad cable gambles; quarantine: the error-rate monitor hands it to FailLink and traffic detours",
+		"probation restores the cable after 5us; a still-bad cable re-trips the threshold and flaps back out",
+	},
 }
 
 // FlakyIDs lists the flaky-fabric experiments.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"gs1280/internal/sim"
 )
@@ -149,8 +150,14 @@ func assemble(t *Table, parts []Part) *Table {
 }
 
 // Specs lists every experiment in paper order (fig1..fig15, tab1,
-// fig18..fig28, then the ablation companion).
-func Specs() []Spec {
+// fig18..fig28, then the ablation companion). Every Spec is stateless, so
+// the list is built once; each call returns its own copy.
+func Specs() []Spec { return slices.Clone(catalog) }
+
+// catalog is the experiment list, built once at package initialization.
+var catalog = specs()
+
+func specs() []Spec {
 	return []Spec{
 		whole("fig1", func(bool) *Table { return Fig01SPECfpRate(nil) }),
 		fig04Spec(),
@@ -213,16 +220,16 @@ func Specs() []Spec {
 			}
 			return Fig28Summary(0, 0)
 		}),
-		saturSpec("satur-uniform"),
-		saturSpec("satur-transpose"),
-		saturSpec("satur-hotspot"),
-		degradedSaturSpec(),
+		saturUniform.spec(),
+		saturTranspose.spec(),
+		saturHotspot.spec(),
+		degradedSatur.spec(),
 		degradedMapSpec(),
-		tailSaturSpec(),
-		tailDegradedSpec(),
+		tailSatur.spec(),
+		tailDegraded.spec(),
 		tailMissSpec(),
-		flakySaturSpec(),
-		flakyQuarantineSpec(),
+		flakySatur.spec(),
+		flakyQuarantine.spec(),
 		whole("ablation", func(q bool) *Table {
 			if q {
 				return AblationLoadTest([]int{4, 30}, quickWarm, quickMeasure)
@@ -234,7 +241,7 @@ func Specs() []Spec {
 
 // SpecByID looks up one experiment's Spec.
 func SpecByID(id string) (Spec, bool) {
-	for _, s := range Specs() {
+	for _, s := range catalog {
 		if s.ID == id {
 			return s, true
 		}
@@ -254,9 +261,8 @@ func SpecByID(id string) (Spec, bool) {
 // a map range here is exactly the -j1/-j8 divergence detrange exists to
 // catch.
 func Registry() map[string]Runner {
-	specs := Specs()
-	reg := make(map[string]Runner, len(specs))
-	for _, s := range specs {
+	reg := make(map[string]Runner, len(catalog))
+	for _, s := range catalog {
 		reg[s.ID] = s.Runner()
 	}
 	return reg
@@ -264,9 +270,8 @@ func Registry() map[string]Runner {
 
 // IDs reports all experiment ids in paper order (the order of Specs).
 func IDs() []string {
-	specs := Specs()
-	ids := make([]string, len(specs))
-	for i, s := range specs {
+	ids := make([]string, len(catalog))
+	for i, s := range catalog {
 		ids[i] = s.ID
 	}
 	return ids

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"gs1280/internal/network"
 	"gs1280/internal/sim"
 	"gs1280/internal/topology"
 	"gs1280/internal/traffic"
@@ -26,133 +25,33 @@ var SaturRates = []float64{2, 5, 10, 15, 20, 25, 30, 40, 50, 60}
 
 var saturQuickRates = []float64{5, 20, 60}
 
-// saturVariant is one routing policy of a saturation sweep.
-type saturVariant struct {
-	name            string
-	disableAdaptive bool
-}
+// routings is the variant axis of the sweeps that compare adaptive routing
+// with the deterministic escape path.
+var routings = openAxis{"routing", []openVariant{
+	{"adaptive", func(*openPoint) {}},
+	{"deterministic", func(p *openPoint) { p.escape = true }},
+}}
 
-var saturVariants = []saturVariant{
-	{"adaptive", false},
-	{"deterministic", true},
-}
+// The satur-* sweeps walk routing x offered load on the 64-CPU (8x8) torus,
+// one traffic pattern each. The hotspot target is node 0, matching the §6
+// hot-node experiments.
+var (
+	saturUniform   = saturFamily("satur-uniform", traffic.Uniform())
+	saturTranspose = saturFamily("satur-transpose", traffic.Transpose())
+	saturHotspot   = saturFamily("satur-hotspot", traffic.Hotspot(0, 0.2))
+)
 
-// saturPattern maps a satur-* experiment id to its traffic pattern. The
-// hotspot target is node 0, matching the §6 hot-node experiments.
-func saturPattern(id string) traffic.Pattern {
-	switch id {
-	case "satur-uniform":
-		return traffic.Uniform()
-	case "satur-transpose":
-		return traffic.Transpose()
-	case "satur-hotspot":
-		return traffic.Hotspot(0, 0.2)
-	}
-	panic("experiments: no saturation pattern for id " + id)
-}
-
-// saturRun executes one offered-load point on the given engine (fresh or
-// Reset) with a fresh network.
-func saturRun(eng *sim.Engine, topo *topology.Topology, policy topology.RoutePolicy, disableAdaptive bool,
-	pattern traffic.Pattern, ratePerUs float64, warm, measure sim.Time, seed uint64) traffic.Result {
-	return saturRunPrep(eng, topo, policy, disableAdaptive, pattern, ratePerUs, warm, measure, seed, nil)
-}
-
-// saturRunPrep is saturRun with a setup hook: prep, when non-nil, runs
-// after the network is built and before traffic starts, so callers can
-// schedule simulated-time events against the run — the degraded-*
-// experiments arm their link-fault events here. A nil prep schedules
-// nothing and consumes no event sequence numbers, so the run is
-// bit-identical to one that never had the hook.
-func saturRunPrep(eng *sim.Engine, topo *topology.Topology, policy topology.RoutePolicy, disableAdaptive bool,
-	pattern traffic.Pattern, ratePerUs float64, warm, measure sim.Time, seed uint64,
-	prep func(*network.Network)) traffic.Result {
-	params := network.DefaultParams()
-	params.Policy = policy
-	params.DisableAdaptive = disableAdaptive
-	if critDiff.on {
-		// Golden differential: arbitration on, but the open-loop injectors
-		// here use a zero criticality mix, so every packet is CritDemand
-		// and the arbiter must reduce to FIFO.
-		params.CritArb = true
-	}
-	net := network.New(eng, topo, params)
-	if prep != nil {
-		prep(net)
-	}
-	return traffic.Run(net, traffic.Config{
-		Pattern: pattern,
-		Rate:    ratePerUs / 1000, // table rates are per us; traffic wants per ns
-		Class:   network.Request,
-		Size:    network.DataPacketSize,
-		Seed:    seed,
-		Warmup:  warm,
-		Measure: measure,
-	})
-}
-
-// saturPoint measures one (routing, rate) sample of a satur-* sweep on the
-// 64-CPU (8x8) torus — one row, independently runnable.
-func saturPoint(env *Env, id string, v saturVariant, ratePerUs float64, seed uint64, warm, measure sim.Time) Part {
-	topo := topology.NewTorus(8, 8)
-	res := saturRun(env.Engine(), topo, topology.RouteAdaptive, v.disableAdaptive,
-		saturPattern(id), ratePerUs, warm, measure, seed)
-	return Part{Rows: [][]string{{
-		v.name,
-		fmt.Sprintf("%g", ratePerUs),
-		f1(res.DeliveredMBs()),
-		f1(res.AvgLatencyNs()),
-		f1(res.AcceptedFrac() * 100),
-		f1(res.AvgLinkUtil * 100),
-		f1(res.MaxLinkUtil * 100),
-		fmt.Sprintf("%d", res.PeakQueued),
-	}}}
-}
-
-func saturAssemble(id string, parts []Part) *Table {
-	t := assemble(&Table{
-		ID: id,
-		Title: fmt.Sprintf("Offered-load saturation sweep: %s traffic on the 64P (8x8) torus",
-			saturPattern(id).Name()),
-		Header: []string{"routing", "offered pkts/node/us", "delivered MB/s", "avg latency ns",
-			"accepted %", "avg util %", "max util %", "peak queue"},
-	}, parts)
-	t.AddNote("open loop: latency stays near zero-load to the knee, then source queues reject offered packets")
-	t.AddNote("adaptive routing holds the knee at higher load than the deterministic escape path")
-	return t
-}
-
-// saturSpec exposes one satur-* sweep as a unit per (routing, rate) point.
-func saturSpec(id string) Spec {
-	plan := func(q bool) ([]float64, sim.Time, sim.Time) {
-		if q {
-			return saturQuickRates, quickWarm, quickMeasure
-		}
-		return SaturRates, 15 * sim.Microsecond, 40 * sim.Microsecond
-	}
-	return Spec{
-		ID: id,
-		Units: func(q bool) []Unit {
-			rates, warm, measure := plan(q)
-			type point struct {
-				v         saturVariant
-				vi, ri    int
-				ratePerUs float64
-			}
-			var points []point
-			for vi, v := range saturVariants {
-				for ri, r := range rates {
-					points = append(points, point{v: v, vi: vi, ri: ri, ratePerUs: r})
-				}
-			}
-			return sweepUnits(points,
-				func(p point) string { return fmt.Sprintf("%s[%s,r=%g]", id, p.v.name, p.ratePerUs) },
-				func(env *Env, p point) Part {
-					return saturPoint(env, id, p.v, p.ratePerUs,
-						uint64(p.vi*104729+p.ri*7919+1), warm, measure)
-				})
+func saturFamily(id string, pattern traffic.Pattern) *openFamily {
+	return &openFamily{
+		id:       id,
+		title:    fmt.Sprintf("Offered-load saturation sweep: %s traffic on the 64P (8x8) torus", pattern.Name()),
+		base:     openPoint{pattern: pattern},
+		variants: routings,
+		cols:     saturCols,
+		notes: []string{
+			"open loop: latency stays near zero-load to the knee, then source queues reject offered packets",
+			"adaptive routing holds the knee at higher load than the deterministic escape path",
 		},
-		Assemble: func(_ bool, parts []Part) *Table { return saturAssemble(id, parts) },
 	}
 }
 
@@ -161,14 +60,14 @@ func SaturIDs() []string { return []string{"satur-uniform", "satur-transpose", "
 
 // fig1617Patterns are the permutations of the latency-under-load matrix.
 var fig1617Patterns = []struct {
-	name string
-	mk   func() traffic.Pattern
+	name    string
+	pattern traffic.Pattern
 }{
-	{"uniform", traffic.Uniform},
-	{"transpose", traffic.Transpose},
-	{"bit-complement", traffic.BitComplement},
-	{"neighbor", traffic.NearestNeighbor},
-	{"hotspot", func() traffic.Pattern { return traffic.Hotspot(0, 0.2) }},
+	{"uniform", traffic.Uniform()},
+	{"transpose", traffic.Transpose()},
+	{"bit-complement", traffic.BitComplement()},
+	{"neighbor", traffic.NearestNeighbor()},
+	{"hotspot", traffic.Hotspot(0, 0.2)},
 }
 
 // fig1617Loads are the offered loads of the matrix in packets per node per
@@ -181,23 +80,24 @@ var fig1617Loads = []float64{10, 30}
 // 2-hop chord policy.
 func fig1617Point(env *Env, pi, li int, warm, measure sim.Time) Part {
 	pat := fig1617Patterns[pi]
-	load := fig1617Loads[li]
-	seed := uint64(pi*7919 + li*104729 + 1)
-	torus := topology.NewTorus(4, 4)
-	shuffle := topology.NewShuffle(4, 4)
-	adaptive := saturRun(env.Engine(), torus, topology.RouteAdaptive, false, pat.mk(), load, warm, measure, seed)
-	escape := saturRun(env.Engine(), torus, topology.RouteAdaptive, true, pat.mk(), load, warm, measure, seed)
-	chords := saturRun(env.Engine(), shuffle, topology.RouteShuffle2Hop, false, pat.mk(), load, warm, measure, seed)
-	return Part{Rows: [][]string{{
-		pat.name,
-		fmt.Sprintf("%g", load),
-		f1(adaptive.AvgLatencyNs()),
-		f1(escape.AvgLatencyNs()),
-		f1(chords.AvgLatencyNs()),
-		f1(adaptive.DeliveredMBs()),
-		f1(escape.DeliveredMBs()),
-		f1(chords.DeliveredMBs()),
-	}}}
+	adaptive := openPoint{
+		wiring:  func() *topology.Topology { return topology.NewTorus(4, 4) },
+		pattern: pat.pattern,
+		rate:    fig1617Loads[li],
+		seed:    uint64(pi*7919 + li*104729 + 1),
+	}
+	escape, shuffle := adaptive, adaptive
+	escape.escape = true
+	shuffle.wiring = func() *topology.Topology { return topology.NewShuffle(4, 4) }
+	shuffle.policy = topology.RouteShuffle2Hop
+	row := []string{pat.name, fmt.Sprintf("%g", adaptive.rate)}
+	var mbs []string
+	for _, p := range []openPoint{adaptive, escape, shuffle} {
+		res := p.run(env, warm, measure)
+		row = append(row, f1(res.AvgLatencyNs()))
+		mbs = append(mbs, f1(res.DeliveredMBs()))
+	}
+	return Part{Rows: [][]string{append(row, mbs...)}}
 }
 
 func fig1617Assemble(parts []Part) *Table {
@@ -215,24 +115,18 @@ func fig1617Assemble(parts []Part) *Table {
 
 // fig1617Spec exposes the matrix as one unit per (pattern, load) row.
 func fig1617Spec() Spec {
-	plan := func(q bool) ([]int, sim.Time, sim.Time) {
-		if q {
-			return []int{1}, quickWarm, quickMeasure // near-knee load only
-		}
-		loads := make([]int, len(fig1617Loads))
-		for i := range loads {
-			loads[i] = i
-		}
-		return loads, 15 * sim.Microsecond, 40 * sim.Microsecond
-	}
 	return Spec{
 		ID: "fig16x17",
 		Units: func(q bool) []Unit {
-			loads, warm, measure := plan(q)
+			_, warm, measure := openPlan(q)
+			first := 0
+			if q {
+				first = 1 // near-knee load only
+			}
 			type cellID struct{ pi, li int }
 			var points []cellID
 			for pi := range fig1617Patterns {
-				for _, li := range loads {
+				for li := first; li < len(fig1617Loads); li++ {
 					points = append(points, cellID{pi, li})
 				}
 			}

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"gs1280/internal/machine"
-	"gs1280/internal/network"
 	"gs1280/internal/sim"
-	"gs1280/internal/topology"
 	"gs1280/internal/traffic"
 	"gs1280/internal/workload"
 )
@@ -30,7 +28,7 @@ const (
 	tailCtlFrac = 0.10
 )
 
-// tailVariant is one arbitration policy of a tail sweep.
+// tailVariant is one arbitration policy of tail-miss's machine sweep.
 type tailVariant struct {
 	name    string
 	critArb bool
@@ -41,161 +39,57 @@ var tailVariants = []tailVariant{
 	{"crit", true},
 }
 
-// tailDegradedLevels are the fault levels of tail-degraded. Healthy rows
-// live in tail-satur, so the sweep starts at one failed cable.
-var tailDegradedLevels = []int{1, 2}
-
 // fq formats a picosecond quantile as nanoseconds for a table cell.
 func fq(ps int64) string { return f1(float64(ps) / 1000) }
 
-// tailRun executes one mixed-criticality offered-load point: uniform
-// traffic with the tail mix on an 8x8 torus network, arbitration per
-// variant, plus level failed cables armed during warmup (level 0 schedules
-// nothing).
-func tailRun(eng *sim.Engine, critArb bool, level int, ratePerUs float64,
-	warm, measure sim.Time, seed uint64) traffic.Result {
-	topo := topology.NewTorus(8, 8)
-	params := network.DefaultParams()
-	params.CritArb = critArb
-	net := network.New(eng, topo, params)
-	if level > 0 {
-		scheduleFaults(net, topo, level, warm)
-	}
-	return traffic.Run(net, traffic.Config{
-		Pattern: traffic.Uniform(),
-		Rate:    ratePerUs / 1000, // table rates are per us; traffic wants per ns
-		Class:   network.Request,
-		Size:    network.DataPacketSize,
-		Seed:    seed,
-		Warmup:  warm,
-		Measure: measure,
-		BgFrac:  tailBgFrac,
-		CtlFrac: tailCtlFrac,
-	})
+// arbitrations is the variant axis of the open-loop tail sweeps.
+var arbitrations = openAxis{"arbitration", []openVariant{
+	{"fifo", func(*openPoint) {}},
+	{"crit", func(p *openPoint) { p.critArb = true }},
+}}
+
+// tailCols are the distribution columns of the open-loop tail sweeps.
+var tailCols = []openCol{
+	colDelivered,
+	{"avg lat ns", colLatency.cell},
+	{"p50 ns", func(r traffic.Result) string { return fq(r.Lat.P50) }},
+	{"p95 ns", func(r traffic.Result) string { return fq(r.Lat.P95) }},
+	colP99,
+	{"p99.9 ns", func(r traffic.Result) string { return fq(r.Lat.P999) }},
+	{"demand p99 ns", func(r traffic.Result) string { return fq(r.DemandLat.P99) }},
+	{"bg p99 ns", func(r traffic.Result) string { return fq(r.BgLat.P99) }},
+	{"queue p50 ns", func(r traffic.Result) string { return fq(r.QueueRes.P50) }},
+	{"queue p99 ns", func(r traffic.Result) string { return fq(r.QueueRes.P99) }},
+	{"queue p99.9 ns", func(r traffic.Result) string { return fq(r.QueueRes.P999) }},
 }
 
-// tailPoint measures one (variant, rate) sample — one row, independently
-// runnable. withLevel adds the failed-cables column tail-degraded carries.
-func tailPoint(env *Env, level int, withLevel bool, v tailVariant, vi, ri int,
-	ratePerUs float64, warm, measure sim.Time) Part {
-	res := tailRun(env.Engine(), v.critArb, level, ratePerUs, warm, measure,
-		uint64(vi*104729+ri*7919+1))
-	row := []string{v.name}
-	if withLevel {
-		row = append(row, fmt.Sprintf("%d", level))
-	}
-	row = append(row,
-		fmt.Sprintf("%g", ratePerUs),
-		f1(res.DeliveredMBs()),
-		f1(res.AvgLatencyNs()),
-		fq(res.Lat.P50), fq(res.Lat.P95), fq(res.Lat.P99), fq(res.Lat.P999),
-		fq(res.DemandLat.P99), fq(res.BgLat.P99),
-		fq(res.QueueRes.P50), fq(res.QueueRes.P99), fq(res.QueueRes.P999),
-	)
-	return Part{Rows: [][]string{row}}
+// tailSatur sweeps arbitration x offered load for uniform traffic with the
+// tail mix on the healthy 8x8 torus.
+var tailSatur = &openFamily{
+	id:       "tail-satur",
+	title:    "Tail latency vs offered load: mixed-criticality uniform traffic on the 64P (8x8) torus",
+	base:     openPoint{bgFrac: tailBgFrac, ctlFrac: tailCtlFrac},
+	variants: arbitrations,
+	cols:     tailCols,
+	notes: []string{
+		"fifo rows are bit-identical to the pre-criticality arbiter; crit rows prefer demand packets within a class",
+		"prioritization buys its p99 at the background class's expense — compare demand p99 against bg p99",
+	},
 }
 
-// tailHeader builds the shared column set of the open-loop tail sweeps.
-func tailHeader(withLevel bool) []string {
-	h := []string{"arbitration"}
-	if withLevel {
-		h = append(h, "failed cables")
-	}
-	return append(h,
-		"offered pkts/node/us", "delivered MB/s", "avg lat ns",
-		"p50 ns", "p95 ns", "p99 ns", "p99.9 ns",
-		"demand p99 ns", "bg p99 ns",
-		"queue p50 ns", "queue p99 ns", "queue p99.9 ns")
-}
-
-// tailSaturSpec exposes the healthy-fabric tail sweep as one unit per
-// (arbitration, rate) point.
-func tailSaturSpec() Spec {
-	plan := func(q bool) ([]float64, sim.Time, sim.Time) {
-		if q {
-			return saturQuickRates, quickWarm, quickMeasure
-		}
-		return SaturRates, 15 * sim.Microsecond, 40 * sim.Microsecond
-	}
-	return Spec{
-		ID: "tail-satur",
-		Units: func(q bool) []Unit {
-			rates, warm, measure := plan(q)
-			type point struct {
-				v         tailVariant
-				vi, ri    int
-				ratePerUs float64
-			}
-			var points []point
-			for vi, v := range tailVariants {
-				for ri, r := range rates {
-					points = append(points, point{v: v, vi: vi, ri: ri, ratePerUs: r})
-				}
-			}
-			return sweepUnits(points,
-				func(p point) string { return fmt.Sprintf("tail-satur[%s,r=%g]", p.v.name, p.ratePerUs) },
-				func(env *Env, p point) Part {
-					return tailPoint(env, 0, false, p.v, p.vi, p.ri, p.ratePerUs, warm, measure)
-				})
-		},
-		Assemble: func(_ bool, parts []Part) *Table {
-			t := assemble(&Table{
-				ID:     "tail-satur",
-				Title:  "Tail latency vs offered load: mixed-criticality uniform traffic on the 64P (8x8) torus",
-				Header: tailHeader(false),
-			}, parts)
-			t.AddNote("fifo rows are bit-identical to the pre-criticality arbiter; crit rows prefer demand packets within a class")
-			t.AddNote("prioritization buys its p99 at the background class's expense — compare demand p99 against bg p99")
-			return t
-		},
-	}
-}
-
-// tailDegradedSpec exposes the degraded-fabric tail sweep as one unit per
-// (faults, arbitration, rate) point.
-func tailDegradedSpec() Spec {
-	plan := func(q bool) ([]float64, sim.Time, sim.Time) {
-		if q {
-			return saturQuickRates, quickWarm, quickMeasure
-		}
-		return SaturRates, 15 * sim.Microsecond, 40 * sim.Microsecond
-	}
-	return Spec{
-		ID: "tail-degraded",
-		Units: func(q bool) []Unit {
-			rates, warm, measure := plan(q)
-			type point struct {
-				level, vi, ri int
-				v             tailVariant
-				ratePerUs     float64
-			}
-			var points []point
-			for _, level := range tailDegradedLevels {
-				for vi, v := range tailVariants {
-					for ri, r := range rates {
-						points = append(points, point{level: level, vi: vi, ri: ri, v: v, ratePerUs: r})
-					}
-				}
-			}
-			return sweepUnits(points,
-				func(p point) string {
-					return fmt.Sprintf("tail-degraded[f=%d,%s,r=%g]", p.level, p.v.name, p.ratePerUs)
-				},
-				func(env *Env, p point) Part {
-					return tailPoint(env, p.level, true, p.v, p.vi, p.ri, p.ratePerUs, warm, measure)
-				})
-		},
-		Assemble: func(_ bool, parts []Part) *Table {
-			t := assemble(&Table{
-				ID:     "tail-degraded",
-				Title:  "Tail latency on a degraded fabric: mixed-criticality uniform traffic, 8x8 torus, failed wrap cables",
-				Header: tailHeader(true),
-			}, parts)
-			t.AddNote("faults land mid-warmup (the degraded-satur schedule); detour queues stretch the tail before the mean moves")
-			t.AddNote("healthy baselines are tail-satur's rows; same seeds, so columns compare point for point")
-			return t
-		},
-	}
+// tailDegraded is tail-satur with failed cables armed during warmup.
+// Healthy rows live in tail-satur, so the sweep starts at one failed cable.
+var tailDegraded = &openFamily{
+	id:       "tail-degraded",
+	title:    "Tail latency on a degraded fabric: mixed-criticality uniform traffic, 8x8 torus, failed wrap cables",
+	base:     tailSatur.base,
+	variants: arbitrations,
+	level:    faultAxis(1, 2),
+	cols:     tailCols,
+	notes: []string{
+		"faults land mid-warmup (the degraded-satur schedule); detour queues stretch the tail before the mean moves",
+		"healthy baselines are tail-satur's rows; same seeds, so columns compare point for point",
+	},
 }
 
 // tailMissCounts is the machine-size sweep of tail-miss.

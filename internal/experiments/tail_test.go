@@ -1,45 +1,6 @@
 package experiments
 
-import (
-	"reflect"
-	"testing"
-)
-
-// TestTailFifoRowsMatchSaturUniform pins the cross-family identity the
-// criticality work must preserve: tail-satur's fifo rows run the very same
-// simulation as satur-uniform's adaptive rows — same torus, seeds and
-// windows, arbitration off — and the injected criticality mix only retags
-// packets, so every shared measured cell (offered rate, delivered MB/s,
-// mean latency) must be byte-identical.
-func TestTailFifoRowsMatchSaturUniform(t *testing.T) {
-	base, err := Run("satur-uniform", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tail, err := Run("tail-satur", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var adaptive, fifo [][]string
-	for _, r := range base.Rows {
-		if r[0] == "adaptive" {
-			adaptive = append(adaptive, r[1:4:4])
-		}
-	}
-	for _, r := range tail.Rows {
-		if r[0] == "fifo" {
-			fifo = append(fifo, r[1:4:4])
-		}
-	}
-	if len(fifo) == 0 || len(fifo) != len(adaptive) {
-		t.Fatalf("row counts differ: %d fifo vs %d adaptive", len(fifo), len(adaptive))
-	}
-	for i := range fifo {
-		if !reflect.DeepEqual(fifo[i], adaptive[i]) {
-			t.Errorf("row %d diverges:\ntail fifo:     %v\nsatur adaptive: %v", i, fifo[i], adaptive[i])
-		}
-	}
-}
+import "testing"
 
 // TestTailSaturShape checks the distribution columns: quantiles ordered
 // within every row, both classes populated, and at the deepest-saturation
@@ -135,30 +96,5 @@ func TestTailMissShape(t *testing.T) {
 		if p50 < 60 {
 			t.Errorf("row %v median miss %.1f ns below the DRAM floor", r, p50)
 		}
-	}
-}
-
-// TestEngineReuseAfterTailUnits extends the engine-pooling guard to the new
-// family: tail units dirty a pooled engine with criticality arbitration,
-// degraded fabrics and a full GS1280 — and a plain satur-uniform unit on
-// that engine must still replay bit for bit after Reset.
-func TestEngineReuseAfterTailUnits(t *testing.T) {
-	fresh := saturPoint(nil, "satur-uniform", saturVariants[0], 20, 42, quickWarm, quickMeasure)
-
-	env := NewEnv()
-	env.BeginUnit()
-	first := saturPoint(env, "satur-uniform", saturVariants[0], 20, 42, quickWarm, quickMeasure)
-	env.BeginUnit()
-	_ = tailPoint(env, 2, true, tailVariants[1], 1, 2, 60, quickWarm, quickMeasure)
-	env.BeginUnit()
-	_ = tailMissPoint(env, 16, tailVariants[1], quickWarm, quickMeasure)
-	env.BeginUnit()
-	again := saturPoint(env, "satur-uniform", saturVariants[0], 20, 42, quickWarm, quickMeasure)
-
-	if !reflect.DeepEqual(fresh, first) {
-		t.Errorf("pooled first run diverges from fresh engine:\n%v\n%v", first, fresh)
-	}
-	if !reflect.DeepEqual(first, again) {
-		t.Errorf("reused engine leaked tail-unit state:\n%v\n%v", first, again)
 	}
 }

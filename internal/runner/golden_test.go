@@ -12,11 +12,11 @@ import (
 
 // TestGoldenOutputsAcrossWorkerCounts is the end-to-end determinism and
 // refactoring guard: the quick CSVs of a latency figure (fig12), a
-// load-test sweep (fig15) and a saturation sweep (satur-uniform) must be
-// byte-identical to the committed fixtures — which were generated before
-// the coherence layer's map-to-slot-table rewrite — at both -j 1 and
-// -j 8. A data-structure or scheduling change that alters any simulated
-// outcome, however slightly, shows up here as a diff.
+// load-test sweep (fig15) and every open-loop experiment must be
+// byte-identical to the committed fixtures — each generated before the
+// refactor it guards — at both -j 1 and -j 8. A data-structure or
+// scheduling change that alters any simulated outcome, however slightly,
+// shows up here as a diff.
 //
 // To regenerate after an intentional model change:
 //
@@ -25,8 +25,9 @@ import (
 //
 // (and likewise for the other ids), then explain the change in the PR.
 func TestGoldenOutputsAcrossWorkerCounts(t *testing.T) {
-	ids := []string{"fig12", "fig15", "satur-uniform", "degraded-satur",
-		"tail-satur", "tail-degraded", "tail-miss", "flaky-satur", "flaky-quarantine"}
+	ids := []string{"fig12", "fig15", "fig16x17", "satur-uniform", "satur-transpose",
+		"satur-hotspot", "degraded-satur", "degraded-map", "tail-satur", "tail-degraded",
+		"tail-miss", "flaky-satur", "flaky-quarantine"}
 	for _, workers := range []int{1, 8} {
 		replayGoldens(t, ids, workers, "")
 	}
@@ -36,14 +37,15 @@ func TestGoldenOutputsAcrossWorkerCounts(t *testing.T) {
 // proof for criticality-aware arbitration: with the feature forced on but
 // every packet flattened into a single class (demand or background), the
 // crit+age arbiter degenerates to FIFO and the memory controllers' yield
-// path to the plain one — so the pre-criticality goldens, including the
-// fault-injecting degraded-satur and the error-injecting flaky-satur
+// path to the plain one — so every single-class golden, including the
+// fault-injecting degraded-satur and the error-injecting flaky-* sweeps
 // (whose single-class retransmission traffic cannot tell the arbiters
-// apart), must replay byte-identically at every worker count. The tail-* fixtures are excluded: their crit rows measure
-// a genuinely mixed population, which is exactly what the differential
-// mode flattens away.
+// apart), must replay byte-identically at every worker count. The tail-*
+// fixtures are excluded: their crit rows measure a genuinely mixed
+// population, which is exactly what the differential mode flattens away.
 func TestGoldenOutputsUnderCritDifferential(t *testing.T) {
-	ids := []string{"fig12", "fig15", "satur-uniform", "degraded-satur", "flaky-satur"}
+	ids := []string{"fig12", "fig15", "fig16x17", "satur-uniform", "satur-transpose",
+		"satur-hotspot", "degraded-satur", "degraded-map", "flaky-satur", "flaky-quarantine"}
 	for _, forced := range []network.Criticality{network.CritDemand, network.CritBackground} {
 		restore := experiments.CritDifferential(forced)
 		for _, workers := range []int{1, 8} {
