@@ -18,12 +18,13 @@
 // artifacts. Ctrl-C cancels the remaining runs.
 //
 // -fleet N dispatches units to N `gsbench -worker` subprocesses instead of
-// in-process goroutines: a crashed, hung (-unit-timeout), or corrupted
-// worker is respawned and its units reassigned, so one bad simulation
-// cannot take down the campaign. -journal records every completed unit
-// (fsynced JSONL) and -resume replays a journal — id list and -quick are
-// recovered from its header — executing only the missing units. Any fleet
-// shape, failure history, or resume point produces bytes identical to -j1.
+// in-process goroutines: a crashed, hung (-unit-timeout, which needs
+// -fleet), or corrupted worker is respawned and its units reassigned, so
+// one bad simulation cannot take down the campaign. -journal records every
+// completed unit (fsynced JSONL) and -resume replays a journal — id list
+// and -quick are recovered from its header — executing only the missing
+// units, with or without -fleet. Any fleet shape, failure history, or
+// resume point produces bytes identical to -j1.
 package main
 
 import (
@@ -41,7 +42,6 @@ import (
 
 	"gs1280/internal/experiments"
 	"gs1280/internal/fleet"
-	"gs1280/internal/runner"
 )
 
 // jsonTable is the -json shape of one regenerated artifact. Timings are
@@ -58,18 +58,27 @@ type jsonTable struct {
 	ElapsedMS float64    `json:"elapsed_ms"`
 }
 
-// workerConflict names the first coordinator-only flag set alongside
-// -worker, or "" if the combination is valid. A worker is a subprocess
-// serving the frame protocol on stdin/stdout; it cannot itself dispatch a
-// fleet, write a journal, or resume one.
-func workerConflict(fleetN int, journalPath, resume string) string {
+// flagConflict returns the one-line usage error for an invalid flag
+// combination, or "" if the combination is valid. A worker is a
+// subprocess serving the frame protocol on stdin/stdout; it cannot itself
+// dispatch a fleet, write a journal, or resume one. A unit deadline needs
+// -fleet: an in-process unit cannot be killed, and because units are
+// deterministic, a retry of a hung one would hang the same way.
+func flagConflict(worker bool, fleetN int, journalPath, resume string, unitTimeout time.Duration) string {
+	coordinatorFlag := ""
 	switch {
 	case fleetN > 0:
-		return "-fleet"
+		coordinatorFlag = "-fleet"
 	case journalPath != "":
-		return "-journal"
+		coordinatorFlag = "-journal"
 	case resume != "":
-		return "-resume"
+		coordinatorFlag = "-resume"
+	}
+	switch {
+	case worker && coordinatorFlag != "":
+		return "-worker is a fleet subprocess role and cannot combine with " + coordinatorFlag
+	case unitTimeout > 0 && fleetN == 0:
+		return "-unit-timeout needs -fleet: an in-process unit cannot be killed"
 	}
 	return ""
 }
@@ -88,14 +97,14 @@ func main() {
 	fleetN := flag.Int("fleet", 0, "dispatch units to `N` gsbench -worker subprocesses with crash recovery")
 	journalPath := flag.String("journal", "", "record each completed unit to this JSONL `file` for -resume (fsynced)")
 	resume := flag.String("resume", "", "resume an interrupted run from its journal `file`; -run and -quick are taken from its header")
-	unitTimeout := flag.Duration("unit-timeout", 0, "kill and reassign a fleet worker that holds one unit longer than this (0 = no deadline)")
+	unitTimeout := flag.Duration("unit-timeout", 0, "with -fleet, kill and reassign a worker that holds one unit longer than this (0 = no deadline)")
 	flag.Parse()
 
+	if conflict := flagConflict(*worker, *fleetN, *journalPath, *resume, *unitTimeout); conflict != "" {
+		fmt.Fprintf(os.Stderr, "gsbench: %s\n", conflict)
+		os.Exit(2)
+	}
 	if *worker {
-		if conflict := workerConflict(*fleetN, *journalPath, *resume); conflict != "" {
-			fmt.Fprintf(os.Stderr, "gsbench: -worker is a fleet subprocess role and cannot combine with %s\n", conflict)
-			os.Exit(2)
-		}
 		// Worker mode: stdout belongs to the frame protocol, so any
 		// failure detail goes to stderr and the exit code.
 		if err := fleet.WorkerMain(os.Stdin, os.Stdout, nil); err != nil {
@@ -179,42 +188,35 @@ func main() {
 		stop()
 	}()
 
-	var onUnit func(runner.UnitDone)
+	var onUnit func(fleet.UnitDone)
 	if *progress {
-		onUnit = func(ev runner.UnitDone) {
+		onUnit = func(ev fleet.UnitDone) {
 			fmt.Fprintf(os.Stderr, "gsbench: [%3d/%3d] %-28s %v\n",
 				ev.Done, ev.Total, ev.Unit, ev.Elapsed.Round(time.Millisecond))
 		}
 	}
 
-	start := time.Now()
-	var results []runner.Result
-	var runErr error
-	if *fleetN > 0 || *journalPath != "" || *resume != "" {
-		// Fleet path: subprocess workers when -fleet is set; otherwise an
-		// in-process fleet, which journals and resumes identically.
-		fopts := fleet.Options{
-			Workers:     *jobs,
-			Quick:       *quick,
-			JournalPath: *journalPath,
-			ResumeFrom:  *resume,
-			UnitTimeout: *unitTimeout,
-			OnUnit:      onUnit,
-			Transport:   &fleet.LocalTransport{},
-		}
-		if *fleetN > 0 {
-			exe, err := os.Executable()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "gsbench: -fleet: %v\n", err)
-				os.Exit(2)
-			}
-			fopts.Workers = *fleetN
-			fopts.Transport = &fleet.ProcTransport{Argv: []string{exe, "-worker"}, Stderr: os.Stderr}
-		}
-		results, runErr = fleet.Run(ctx, ids, fopts)
-	} else {
-		results, runErr = runner.Run(ctx, ids, runner.Options{Workers: *jobs, Quick: *quick, OnUnit: onUnit})
+	// Units run in-process on -j slot goroutines, or on -fleet worker
+	// subprocesses; either way they journal and resume identically.
+	fopts := fleet.Options{
+		Workers:     *jobs,
+		Quick:       *quick,
+		JournalPath: *journalPath,
+		ResumeFrom:  *resume,
+		UnitTimeout: *unitTimeout,
+		OnUnit:      onUnit,
 	}
+	if *fleetN > 0 {
+		exe, err := os.Executable()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "gsbench: -fleet: %v\n", err)
+			os.Exit(2)
+		}
+		fopts.Workers = *fleetN
+		fopts.Transport = &fleet.ProcTransport{Argv: []string{exe, "-worker"}, Stderr: os.Stderr}
+	}
+	start := time.Now()
+	results, runErr := fleet.Run(ctx, ids, fopts)
 
 	exit := 0
 	cancelled := 0

@@ -8,7 +8,8 @@
 // experiments, or individual sweep points for the sweep-style figures)
 // plus an Assemble step that merges unit outputs in declared order. The
 // serial entry points (Run, Registry) execute units in order on one
-// goroutine; internal/runner fans the same units across many. Because
+// goroutine; the scheduler (internal/fleet, behind internal/runner) fans
+// the same units across many. Because
 // every unit builds its own machines, engine and seeded RNGs, both paths
 // produce byte-identical tables.
 package experiments

@@ -35,8 +35,9 @@ type Env struct {
 	next    int
 }
 
-// NewEnv returns an empty environment. internal/runner creates one per
-// worker goroutine; Spec.Runner creates one per serial run.
+// NewEnv returns an empty environment. The scheduler (internal/fleet)
+// creates one per in-process slot and one per worker process;
+// Spec.Runner creates one per serial run.
 func NewEnv() *Env { return &Env{} }
 
 // BeginUnit rewinds the engine cursor; callers invoke it before each

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -47,10 +48,12 @@ type ChaosOptions struct {
 }
 
 // ChaosTransport is an in-memory Transport whose workers crash, hang,
-// stall, or return corrupt frames on a seeded schedule. It executes units
-// exactly as LocalTransport does on the healthy path, and keeps
-// per-unit execution counts so tests can assert no unit was lost and
-// retries stayed within the injected-failure budget.
+// stall, or return corrupt frames on a seeded schedule. On the healthy
+// path it executes units through executeUnit, exactly as a gsbench
+// -worker subprocess does, so with every probability at zero it is a
+// healthy in-memory worker. It keeps per-unit execution counts so tests
+// can assert no unit was lost and retries stayed within the
+// injected-failure budget.
 type ChaosTransport struct {
 	opts    ChaosOptions
 	lookup  Lookup
@@ -134,7 +137,15 @@ func (t *ChaosTransport) Spawn(_ context.Context, slot int) (Worker, error) {
 	return w, nil
 }
 
-// chaosWorker mirrors localWorker, with a fate draw before each reply.
+// errWorkerKilled reports an operation on a worker that has been torn
+// down (by Kill, or by an injected crash).
+var errWorkerKilled = errors.New("fleet: worker killed")
+
+// chaosWorker executes units on a dedicated goroutine, mirroring a
+// subprocess worker's one-request-at-a-time protocol: Send hands the
+// goroutine a request, Recv blocks for its response, and Kill makes both
+// fail promptly (the in-memory analog of the process dying and its pipes
+// closing). Before each reply it draws a fate.
 type chaosWorker struct {
 	transport *ChaosTransport
 	rng       *rand.Rand

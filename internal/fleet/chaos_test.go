@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
-
-	"gs1280/internal/runner"
 )
 
 // chaosSuite is the synthetic suite the property sweeps run: 4
@@ -143,7 +141,7 @@ func TestChaosInterruptedRunResumesFromJournal(t *testing.T) {
 		MaxUnitAttempts:  10,
 		MaxSpawnAttempts: 3,
 		SpawnBackoff:     time.Millisecond,
-		OnUnit: func(ev runner.UnitDone) {
+		OnUnit: func(UnitDone) {
 			killed++
 			if killed == 11 {
 				cancel()
@@ -156,7 +154,7 @@ func TestChaosInterruptedRunResumesFromJournal(t *testing.T) {
 
 	// The journal is durable: reload it raw and remember which units the
 	// interrupted run completed.
-	_, records, err := loadJournal(journal)
+	_, records, _, err := loadJournal(journal)
 	if err != nil {
 		t.Fatalf("journal unreadable after interrupt: %v", err)
 	}
@@ -220,7 +218,6 @@ func TestResumeRejectsDifferentSuite(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "run.jsonl")
 	_, err := Run(context.Background(), ids, Options{
 		Workers:     2,
-		Transport:   &LocalTransport{Lookup: lookup},
 		Lookup:      lookup,
 		JournalPath: journal,
 	})
@@ -233,7 +230,6 @@ func TestResumeRejectsDifferentSuite(t *testing.T) {
 	} {
 		_, err := Run(context.Background(), wrong, Options{
 			Workers:    2,
-			Transport:  &LocalTransport{Lookup: lookup},
 			Lookup:     lookup,
 			ResumeFrom: journal,
 		})
@@ -245,7 +241,6 @@ func TestResumeRejectsDifferentSuite(t *testing.T) {
 	other := synthLookup(synthSpec("alpha", 10), synthSpec("beta", 1), synthSpec("gamma", 17), synthSpec("delta", 5))
 	if _, err := Run(context.Background(), ids, Options{
 		Workers:    2,
-		Transport:  &LocalTransport{Lookup: other},
 		Lookup:     other,
 		ResumeFrom: journal,
 	}); err == nil {

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"gs1280/internal/experiments"
-	"gs1280/internal/runner"
 )
 
 // Defaults for the robustness knobs. Retry caps are deliberately small:
@@ -23,16 +22,18 @@ const (
 	maxSpawnBackoff         = 2 * time.Second
 )
 
-// Options configure a fleet Run.
+// Options configure a Run.
 type Options struct {
-	// Workers is the number of worker slots. Zero or negative means
-	// runtime.GOMAXPROCS(0). A slot whose worker dies respawns a
-	// replacement; a slot that cannot respawn retires, degrading the
-	// fleet — the run completes on whatever slots survive, down to one.
+	// Workers is the number of slots, the concurrent unit executors. Zero
+	// or negative means runtime.GOMAXPROCS(0). A transported slot whose
+	// worker dies respawns a replacement; a slot that cannot respawn
+	// retires, degrading the fleet — the run completes on whatever slots
+	// survive, down to one.
 	Workers int
 	// Quick selects the reduced sweeps (see package experiments).
 	Quick bool
-	// Transport spawns workers. Required.
+	// Transport spawns workers. Nil runs every unit in-process, on the
+	// slot goroutines themselves (see Run).
 	Transport Transport
 	// Lookup resolves experiment ids; nil means the paper registry.
 	// It must agree with what the workers execute (ProcTransport workers
@@ -51,7 +52,8 @@ type Options struct {
 	ResumeFrom string
 	// UnitTimeout is the per-unit deadline. A worker that holds a unit
 	// longer is declared hung, killed, and its unit reassigned. Zero
-	// means no deadline.
+	// means no deadline. It needs a Transport: an in-process unit cannot
+	// be killed.
 	UnitTimeout time.Duration
 	// MaxUnitAttempts caps how many workers a unit is offered before the
 	// experiment reports failure. Zero means DefaultMaxUnitAttempts.
@@ -62,12 +64,38 @@ type Options struct {
 	// SpawnBackoff is the initial respawn backoff; it doubles per
 	// consecutive failure, capped at 2s. Zero means DefaultSpawnBackoff.
 	SpawnBackoff time.Duration
-	// OnUnit, if non-nil, receives progress events in completion order on
-	// a dedicated goroutine, exactly as in runner.Options.
-	OnUnit func(runner.UnitDone)
+	// OnUnit, if non-nil, is called after every completed unit. Calls are
+	// serialized on a dedicated goroutine in completion order, off the
+	// coordinator lock — a slow progress sink delays reporting, never the
+	// slots. All callbacks return before Run does.
+	OnUnit func(UnitDone)
 }
 
-// expState tracks one experiment through a fleet run. Mutable fields are
+// UnitDone describes one completed unit for progress reporting.
+type UnitDone struct {
+	Experiment string        // experiment id, e.g. "fig15"
+	Unit       string        // unit name, e.g. "fig15[GS1280/32P,k=8]"
+	Done       int           // units completed so far, suite-wide
+	Total      int           // total units in the suite
+	Elapsed    time.Duration // this unit's wall-clock
+}
+
+// Result is one experiment's outcome. Results are returned in request
+// order regardless of completion order.
+type Result struct {
+	ID    string
+	Table *experiments.Table // nil when Err is set
+	Err   error              // unknown id, a unit failure, or the context's error if cancelled
+	Units int                // number of units the experiment split into
+	// Work sums the wall-clock of the experiment's units — the cost a
+	// serial run would pay. Elapsed spans the first unit starting to the
+	// last unit being accounted for. Work/Elapsed approximates the
+	// parallel speed-up this experiment saw.
+	Work    time.Duration
+	Elapsed time.Duration
+}
+
+// expState tracks one experiment through a run. Mutable fields are
 // guarded by the coordinator mutex (gslint concur checks the
 // annotations; spec and units are immutable after construction).
 type expState struct {
@@ -75,8 +103,8 @@ type expState struct {
 	units []experiments.Unit
 	//gs:guardedby mu
 	parts []experiments.Part
-	// settled: true means resumed from journal or completed, never
-	// (re)dispatched.
+	// settled marks the units replayed from a resume journal, which are
+	// never dispatched.
 	//gs:guardedby mu
 	settled []bool
 	//gs:guardedby mu
@@ -85,8 +113,7 @@ type expState struct {
 	remaining int
 	//gs:guardedby mu
 	err error
-	//gs:guardedby mu
-	started bool
+	// start is when the experiment's first unit started; zero until then.
 	//gs:guardedby mu
 	start time.Time
 	//gs:guardedby mu
@@ -102,7 +129,7 @@ type coord struct {
 	suite   string
 	ids     []string
 	states  []*expState
-	results []runner.Result
+	results []Result
 
 	mu     sync.Mutex
 	queue  chan job
@@ -117,19 +144,31 @@ type coord struct {
 	jnl       *journal
 	//gs:guardedby mu
 	jnlErr     error
-	progressCh chan runner.UnitDone
+	progressCh chan UnitDone
 }
 
-// Run executes the experiments named by ids on a worker fleet and returns
-// one runner.Result per id in order. The robustness contract: worker
-// crashes, hangs and corrupt frames are retried on surviving workers with
-// capped attempts; a unit panic (deterministic) is reported as that
-// experiment's Err without retry; completed units are journaled before
-// being acknowledged; and the rendered tables are byte-identical to a
-// serial in-process run, whatever the fleet shape or failure schedule.
-func Run(ctx context.Context, ids []string, opts Options) ([]runner.Result, error) {
-	if opts.Transport == nil {
-		return nil, errors.New("fleet: Options.Transport is required")
+// Run executes the experiments named by ids on opts.Workers slots and
+// returns one Result per id in order. Unknown ids are reported in their
+// Result.Err without aborting the rest of the suite.
+//
+// With a nil Transport each slot runs units in-process on its own
+// goroutine, reusing one experiments.Env. There is no deadline and no
+// retry: a running unit cannot be killed, and it is deterministic, so a
+// panic — the only in-process failure — is that experiment's Err.
+//
+// With a Transport, worker crashes, hangs and corrupt frames are retried
+// on surviving workers with capped attempts, while a unit panic inside a
+// healthy worker is reported without retry.
+//
+// Either way, completed units are journaled before being acknowledged,
+// and the rendered tables are byte-identical to a serial run, whatever
+// the slot count, transport or failure schedule. Cancelling ctx starts no
+// further unit; in-process units already running finish and are recorded
+// before Run returns. Unfinished experiments carry the context's error,
+// which Run also returns.
+func Run(ctx context.Context, ids []string, opts Options) ([]Result, error) {
+	if opts.Transport == nil && opts.UnitTimeout > 0 {
+		return nil, errors.New("fleet: UnitTimeout needs a Transport: an in-process unit cannot be killed")
 	}
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
@@ -149,10 +188,12 @@ func Run(ctx context.Context, ids []string, opts Options) ([]runner.Result, erro
 		lookup:    orRegistry(opts.Lookup),
 		ids:       ids,
 		states:    make([]*expState, len(ids)),
-		results:   make([]runner.Result, len(ids)),
+		results:   make([]Result, len(ids)),
 		liveSlots: opts.Workers,
 	}
-	c.suite = SuiteHash(ids, opts.Quick, c.lookup)
+	if opts.JournalPath != "" || opts.ResumeFrom != "" {
+		c.suite = SuiteHash(ids, opts.Quick, c.lookup)
+	}
 
 	idIndex := make(map[string]int, len(ids))
 	unitCounts := make([]int, len(ids))
@@ -180,8 +221,9 @@ func Run(ctx context.Context, ids []string, opts Options) ([]runner.Result, erro
 	// Resume: replay the journal's completed units into the part tables
 	// so only the missing ones are dispatched.
 	var resumedRecords []journalRecord
+	var resumedEnd int64
 	if opts.ResumeFrom != "" {
-		header, records, err := loadJournal(opts.ResumeFrom)
+		header, records, end, err := loadJournal(opts.ResumeFrom)
 		if err != nil {
 			return nil, err
 		}
@@ -208,7 +250,7 @@ func Run(ctx context.Context, ids []string, opts Options) ([]runner.Result, erro
 			}
 		}
 		c.mu.Unlock()
-		resumedRecords = records
+		resumedRecords, resumedEnd = records, end
 	}
 
 	// Journal the run. A fresh journal re-records resumed units (in
@@ -217,7 +259,7 @@ func Run(ctx context.Context, ids []string, opts Options) ([]runner.Result, erro
 	if opts.JournalPath != "" {
 		var err error
 		if opts.JournalPath == opts.ResumeFrom {
-			c.jnl, err = openJournalAppend(opts.JournalPath)
+			c.jnl, err = openJournalAppend(opts.JournalPath, resumedEnd)
 		} else {
 			c.jnl, err = createJournal(opts.JournalPath, journalHeader{
 				Version: journalVersion, Suite: c.suite, IDs: ids, Quick: opts.Quick,
@@ -275,10 +317,12 @@ func Run(ctx context.Context, ids []string, opts Options) ([]runner.Result, erro
 		c.doneCh = make(chan struct{})
 
 		// Progress events drain on a dedicated goroutine, off the
-		// coordinator lock (same design as internal/runner).
+		// coordinator lock: account enqueues under the lock, so Done
+		// counts arrive in order, and the buffer holds every job's one
+		// event, so the send never blocks.
 		var progressDone chan struct{}
 		if opts.OnUnit != nil {
-			c.progressCh = make(chan runner.UnitDone, len(jobs))
+			c.progressCh = make(chan UnitDone, len(jobs))
 			progressDone = make(chan struct{})
 			go func() {
 				defer close(progressDone)
@@ -293,7 +337,11 @@ func Run(ctx context.Context, ids []string, opts Options) ([]runner.Result, erro
 			wg.Add(1)
 			go func(slot int) {
 				defer wg.Done()
-				c.runSlot(ctx, slot)
+				if opts.Transport == nil {
+					c.runLocal(ctx)
+				} else {
+					c.runSlot(ctx, slot)
+				}
 			}(slot)
 		}
 		wg.Wait()
@@ -333,9 +381,6 @@ func Run(ctx context.Context, ids []string, opts Options) ([]runner.Result, erro
 		default:
 			c.results[i].Table = st.spec.Assemble(c.opts.Quick, st.parts)
 			c.results[i].Work = st.work
-			if st.started {
-				c.results[i].Elapsed = time.Since(st.start)
-			}
 		}
 	}
 	if err := ctx.Err(); err != nil {
@@ -367,13 +412,9 @@ func (c *coord) runSlot(ctx context.Context, slot int) {
 	spawnFails := 0
 	backoff := c.opts.SpawnBackoff
 	for {
-		var j job
-		select {
-		case <-c.doneCh:
+		j, ok := c.next(ctx)
+		if !ok {
 			return
-		case <-ctx.Done():
-			return
-		case j = <-c.queue:
 		}
 
 		for w == nil {
@@ -402,30 +443,69 @@ func (c *coord) runSlot(ctx context.Context, slot int) {
 			}
 		}
 
-		st := c.states[j.exp]
-		c.mu.Lock()
-		start := time.Now()
-		if !st.started {
-			st.started, st.start = true, start
-		}
-		c.mu.Unlock()
-
+		start := c.begin(j)
 		req := Request{Exp: c.ids[j.exp], Unit: j.unit, Quick: c.opts.Quick}
 		part, verdict, err := c.dispatch(ctx, w, req)
 		elapsed := time.Since(start)
 		switch verdict {
-		case unitOK:
-			c.complete(j, part, elapsed)
-		case unitErrored:
-			// Contained panic or lookup failure inside a healthy worker:
-			// deterministic, so retrying would just repeat it.
-			c.failPermanently(j, err, elapsed)
+		case unitOK, unitErrored:
+			// unitErrored is a contained panic or lookup failure inside a
+			// healthy worker: deterministic, so retrying would just
+			// repeat it.
+			c.settle(j, part, err, elapsed)
 		case workerFault:
 			w.Kill()
 			w = nil
 			c.chargeAttempt(j, err, elapsed)
 		}
 	}
+}
+
+// runLocal is an in-process slot: it runs each claimed unit itself,
+// reusing one Env across them. It has no deadline, because a running
+// unit cannot be killed — and units are deterministic, so a retry of a
+// hung unit would hang the same way. A panic is contained and permanent.
+func (c *coord) runLocal(ctx context.Context) {
+	env := experiments.NewEnv()
+	for {
+		j, ok := c.next(ctx)
+		if !ok {
+			return
+		}
+		start := c.begin(j)
+		part, err := runContained(env, c.states[j.exp].units[j.unit])
+		if err != nil {
+			err = fmt.Errorf("fleet: %w", err)
+		}
+		c.settle(j, part, err, time.Since(start))
+	}
+}
+
+// next claims a queued job. It reports false once every job is accounted
+// for or ctx is done. Go picks at random among ready select cases, so ctx
+// is checked again after a claim: no unit starts after cancellation.
+func (c *coord) next(ctx context.Context) (job, bool) {
+	select {
+	case <-c.doneCh:
+		return job{}, false
+	case <-ctx.Done():
+		return job{}, false
+	case j := <-c.queue:
+		return j, ctx.Err() == nil
+	}
+}
+
+// begin marks a unit started and returns its start time, which is also
+// its experiment's if it is the first to start.
+func (c *coord) begin(j job) time.Time {
+	st := c.states[j.exp]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	start := time.Now()
+	if st.start.IsZero() {
+		st.start = start
+	}
+	return start
 }
 
 type verdict int
@@ -485,43 +565,28 @@ func (c *coord) dispatch(ctx context.Context, w Worker, req Request) (experiment
 	return part, unitOK, nil
 }
 
-// complete records a finished unit: part stored at its declared index,
-// journal appended (fsynced) before the unit is acknowledged, progress
-// event enqueued, completion accounted.
-func (c *coord) complete(j job, part experiments.Part, elapsed time.Duration) {
+// settle records a unit that ran to an outcome. On success the part is
+// stored at its declared index and journaled (fsynced) before the unit is
+// acknowledged; a failed unit fails its experiment, and its siblings
+// still run.
+func (c *coord) settle(j job, part experiments.Part, err error, elapsed time.Duration) {
 	st := c.states[j.exp]
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st.parts[j.unit] = part
-	st.settled[j.unit] = true
-	st.remaining--
 	st.work += elapsed
-	if c.jnl != nil && c.jnlErr == nil {
-		encoded, err := experiments.EncodePart(part)
-		if err == nil {
-			err = c.jnl.record(c.suite, c.ids[j.exp], j.unit, st.units[j.unit].Name, encoded)
-		}
-		if err != nil {
-			c.jnlErr = err // keep computing; surface the lost durability at return
+	if err == nil {
+		st.parts[j.unit] = part
+		if c.jnl != nil && c.jnlErr == nil {
+			encoded, jerr := experiments.EncodePart(part)
+			if jerr == nil {
+				jerr = c.jnl.record(c.suite, c.ids[j.exp], j.unit, st.units[j.unit].Name, encoded)
+			}
+			if jerr != nil {
+				c.jnlErr = jerr // keep computing; surface the lost durability at return
+			}
 		}
 	}
-	c.account(j, elapsed)
-}
-
-// failPermanently marks a unit's experiment failed (first failure wins)
-// and accounts the unit as finished so the run can still complete the
-// sibling experiments.
-func (c *coord) failPermanently(j job, err error, elapsed time.Duration) {
-	st := c.states[j.exp]
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if st.err == nil {
-		st.err = err
-	}
-	st.settled[j.unit] = true
-	st.remaining--
-	st.work += elapsed
-	c.account(j, elapsed)
+	c.account(j, err, elapsed)
 }
 
 // chargeAttempt handles a worker fault on a unit: requeue for another
@@ -533,12 +598,7 @@ func (c *coord) chargeAttempt(j job, err error, elapsed time.Duration) {
 	st.attempts[j.unit]++
 	st.work += elapsed
 	if st.attempts[j.unit] >= c.opts.MaxUnitAttempts {
-		if st.err == nil {
-			st.err = fmt.Errorf("fleet: unit %s failed %d times, last: %w", st.units[j.unit].Name, st.attempts[j.unit], err)
-		}
-		st.settled[j.unit] = true
-		st.remaining--
-		c.account(j, elapsed)
+		c.account(j, fmt.Errorf("fleet: unit %s failed %d times, last: %w", st.units[j.unit].Name, st.attempts[j.unit], err), elapsed)
 		return
 	}
 	// The queue was sized for every dispatchable job and this one is
@@ -554,28 +614,30 @@ func (c *coord) requeue(j job, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.liveSlots <= 1 {
-		st := c.states[j.exp]
-		if st.err == nil {
-			st.err = fmt.Errorf("fleet: unit %s undispatchable: %w", st.units[j.unit].Name, err)
-		}
-		st.settled[j.unit] = true
-		st.remaining--
-		c.account(j, 0)
+		c.account(j, fmt.Errorf("fleet: unit %s undispatchable: %w", c.states[j.exp].units[j.unit].Name, err), 0)
 		return
 	}
 	c.queue <- j
 }
 
-// account (called with mu held) retires one job from the outstanding set
-// and emits its progress event; the final job closes doneCh.
+// account (called with mu held) retires one job for good: a non-nil err
+// fails its experiment (the first failure wins), the experiment's Elapsed
+// stops when its last unit is accounted for, and the progress event is
+// enqueued. The final job closes doneCh.
 //
 //gs:holds mu
-func (c *coord) account(j job, elapsed time.Duration) {
+func (c *coord) account(j job, err error, elapsed time.Duration) {
 	st := c.states[j.exp]
+	if err != nil && st.err == nil {
+		st.err = err
+	}
+	if st.remaining--; st.remaining == 0 && !st.start.IsZero() {
+		c.results[j.exp].Elapsed = time.Since(st.start)
+	}
 	c.outstanding--
 	c.doneUnits++
 	if c.progressCh != nil {
-		c.progressCh <- runner.UnitDone{
+		c.progressCh <- UnitDone{
 			Experiment: c.ids[j.exp],
 			Unit:       st.units[j.unit].Name,
 			Done:       c.doneUnits,

@@ -6,11 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"gs1280/internal/experiments"
-	"gs1280/internal/runner"
 )
 
 // synthSpec builds a cheap deterministic n-unit sweep for fleet tests:
@@ -55,6 +55,39 @@ func assembleParts(t *experiments.Table, parts []experiments.Part) *experiments.
 	return t
 }
 
+// counted wraps spec so that every unit body that runs adds one to n.
+func counted(n *atomic.Int32, spec experiments.Spec) experiments.Spec {
+	units := spec.Units
+	spec.Units = func(quick bool) []experiments.Unit {
+		us := units(quick)
+		for i := range us {
+			run := us[i].Run
+			us[i].Run = func(env *experiments.Env) experiments.Part {
+				n.Add(1)
+				return run(env)
+			}
+		}
+		return us
+	}
+	return spec
+}
+
+// sleepSpec is a one-unit experiment whose unit takes d of wall-clock.
+func sleepSpec(id string, d time.Duration) experiments.Spec {
+	return experiments.Spec{
+		ID: id,
+		Units: func(bool) []experiments.Unit {
+			return []experiments.Unit{{Name: id, Run: func(*experiments.Env) experiments.Part {
+				time.Sleep(d)
+				return experiments.Part{Rows: [][]string{{id}}}
+			}}}
+		},
+		Assemble: func(_ bool, parts []experiments.Part) *experiments.Table {
+			return assembleParts(&experiments.Table{ID: id}, parts)
+		},
+	}
+}
+
 func synthLookup(specs ...experiments.Spec) Lookup {
 	return func(id string) (experiments.Spec, bool) {
 		for _, s := range specs {
@@ -66,9 +99,24 @@ func synthLookup(specs ...experiments.Spec) Lookup {
 	}
 }
 
+type namedTransport struct {
+	name string
+	tr   Transport
+}
+
+// healthy lists the two failure-free ways to run units: in-process (a nil
+// Transport) and through in-memory workers that inject no faults. Each
+// call builds fresh transports, since a ChaosTransport counts executions.
+func healthy(lookup Lookup) []namedTransport {
+	return []namedTransport{
+		{"in-process", nil},
+		{"healthy-chaos", NewChaosTransport(ChaosOptions{Lookup: lookup})},
+	}
+}
+
 // renderResults flattens results to the bytes gsbench would print; any
 // per-experiment error fails the test.
-func renderResults(t *testing.T, results []runner.Result) string {
+func renderResults(t *testing.T, results []Result) string {
 	t.Helper()
 	var b strings.Builder
 	for _, r := range results {
@@ -80,58 +128,68 @@ func renderResults(t *testing.T, results []runner.Result) string {
 	return b.String()
 }
 
-// serialOracle renders the suite through the plain in-process runner at
-// -j1 — the byte-identity reference every fleet shape must match.
+// serialOracle renders the suite with no scheduler at all — each spec's
+// serial Runner, in id order — the byte-identity reference every slot
+// count and transport must match.
 func serialOracle(t *testing.T, ids []string, lookup Lookup) string {
 	t.Helper()
-	results, err := runner.Run(context.Background(), ids, runner.Options{Workers: 1, Lookup: lookup})
-	if err != nil {
-		t.Fatal(err)
+	var b strings.Builder
+	for _, id := range ids {
+		spec, ok := lookup(id)
+		if !ok {
+			t.Fatalf("oracle: unknown id %q", id)
+		}
+		b.WriteString(spec.Runner()(false).String())
 	}
-	return renderResults(t, results)
+	return b.String()
 }
 
 // TestLocalFleetMatchesSerialRunner pins the healthy-path determinism
-// contract on a synthetic suite across fleet widths, including a fleet
-// wider than the unit count.
+// contract on a synthetic suite across slot counts, including more slots
+// than units, in-process and through healthy workers.
 func TestLocalFleetMatchesSerialRunner(t *testing.T) {
 	lookup := synthLookup(synthSpec("alpha", 7), synthSpec("beta", 1), synthSpec("gamma", 13))
 	ids := []string{"alpha", "beta", "gamma"}
 	want := serialOracle(t, ids, lookup)
 	for _, workers := range []int{1, 3, 32} {
-		results, err := Run(context.Background(), ids, Options{
-			Workers:   workers,
-			Transport: &LocalTransport{Lookup: lookup},
-			Lookup:    lookup,
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if got := renderResults(t, results); got != want {
-			t.Errorf("workers=%d: fleet output differs from serial runner:\n%s\nvs\n%s", workers, got, want)
+		for _, h := range healthy(lookup) {
+			results, err := Run(context.Background(), ids, Options{
+				Workers:   workers,
+				Transport: h.tr,
+				Lookup:    lookup,
+			})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", h.name, workers, err)
+			}
+			if got := renderResults(t, results); got != want {
+				t.Errorf("%s workers=%d: output differs from the serial oracle:\n%s\nvs\n%s", h.name, workers, got, want)
+			}
 		}
 	}
 }
 
-// TestFleetGoldenFixtures replays real paper experiments through the
-// fleet and compares against the same committed golden CSVs the runner
-// is pinned to: the fleet layer may not perturb a single byte.
+// TestFleetGoldenFixtures replays real paper experiments in-process and
+// through healthy workers (whose parts cross the EncodePart codec) and
+// compares against the same committed golden CSVs the runner is pinned
+// to: neither path may perturb a single byte.
 func TestFleetGoldenFixtures(t *testing.T) {
 	ids := []string{"fig12", "fig15", "satur-uniform"}
 	for _, workers := range []int{1, 8} {
-		results, err := Run(context.Background(), ids, Options{
-			Workers:   workers,
-			Quick:     true,
-			Transport: &LocalTransport{},
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+		for _, h := range healthy(nil) {
+			results, err := Run(context.Background(), ids, Options{
+				Workers:   workers,
+				Quick:     true,
+				Transport: h.tr,
+			})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", h.name, workers, err)
+			}
+			compareGoldens(t, results, fmt.Sprintf("%s workers=%d", h.name, workers))
 		}
-		compareGoldens(t, results, fmt.Sprintf("workers=%d", workers))
 	}
 }
 
-func compareGoldens(t *testing.T, results []runner.Result, mode string) {
+func compareGoldens(t *testing.T, results []Result, mode string) {
 	t.Helper()
 	for _, r := range results {
 		if r.Err != nil {
@@ -152,9 +210,8 @@ func compareGoldens(t *testing.T, results []runner.Result, mode string) {
 func TestFleetUnknownID(t *testing.T) {
 	lookup := synthLookup(synthSpec("alpha", 3))
 	results, err := Run(context.Background(), []string{"nope", "alpha"}, Options{
-		Workers:   2,
-		Transport: &LocalTransport{Lookup: lookup},
-		Lookup:    lookup,
+		Workers: 2,
+		Lookup:  lookup,
 	})
 	if err != nil {
 		t.Fatalf("unknown id should not fail the run: %v", err)
@@ -216,7 +273,7 @@ func TestFleetDegradesToSingleSurvivor(t *testing.T) {
 	lookup := synthLookup(synthSpec("alpha", 9), synthSpec("beta", 4))
 	ids := []string{"alpha", "beta"}
 	want := serialOracle(t, ids, lookup)
-	tr := &singleSurvivorTransport{inner: &LocalTransport{Lookup: lookup}}
+	tr := &singleSurvivorTransport{inner: NewChaosTransport(ChaosOptions{Lookup: lookup})}
 	results, err := Run(context.Background(), ids, Options{
 		Workers:          4,
 		Transport:        tr,
@@ -234,7 +291,7 @@ func TestFleetDegradesToSingleSurvivor(t *testing.T) {
 
 // singleSurvivorTransport fails every spawn except on slot 0.
 type singleSurvivorTransport struct {
-	inner *LocalTransport
+	inner Transport
 }
 
 func (t *singleSurvivorTransport) Spawn(ctx context.Context, slot int) (Worker, error) {
@@ -250,7 +307,7 @@ func TestFleetAllSlotsRetired(t *testing.T) {
 	lookup := synthLookup(synthSpec("alpha", 3))
 	tr := &neverSpawnTransport{}
 	done := make(chan struct{})
-	var results []runner.Result
+	var results []Result
 	var err error
 	go func() {
 		defer close(done)
@@ -285,12 +342,11 @@ func (*neverSpawnTransport) Spawn(context.Context, int) (Worker, error) {
 // order with suite-wide Done/Total, all delivered before Run returns.
 func TestFleetProgressOrdering(t *testing.T) {
 	lookup := synthLookup(synthSpec("alpha", 12))
-	var events []runner.UnitDone
+	var events []UnitDone
 	results, err := Run(context.Background(), []string{"alpha"}, Options{
-		Workers:   3,
-		Transport: &LocalTransport{Lookup: lookup},
-		Lookup:    lookup,
-		OnUnit:    func(ev runner.UnitDone) { events = append(events, ev) },
+		Workers: 3,
+		Lookup:  lookup,
+		OnUnit:  func(ev UnitDone) { events = append(events, ev) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -311,25 +367,66 @@ func TestFleetProgressOrdering(t *testing.T) {
 	}
 }
 
-// TestFleetCancellation: a cancelled context stops the fleet promptly
-// and marks unfinished experiments with the context error.
+// TestFleetCancellation: a cancelled context stops the fleet promptly,
+// starts no unit at all, and marks unfinished experiments with the
+// context error — in-process and through workers alike. Go picks at
+// random among ready select cases, so a slot that only selected between
+// the job queue and ctx.Done would start some units anyway.
 func TestFleetCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	lookup := synthLookup(synthSpec("alpha", 5))
-	start := time.Now()
-	results, err := Run(ctx, []string{"alpha"}, Options{
-		Workers:   2,
-		Transport: &LocalTransport{Lookup: lookup},
-		Lookup:    lookup,
-	})
-	if err != context.Canceled {
-		t.Fatalf("want context.Canceled, got %v", err)
+	var bodies atomic.Int32
+	lookup := synthLookup(counted(&bodies, synthSpec("alpha", 16)))
+	for _, h := range healthy(lookup) {
+		start := time.Now()
+		results, err := Run(ctx, []string{"alpha"}, Options{
+			Workers:   8,
+			Transport: h.tr,
+			Lookup:    lookup,
+		})
+		if err != context.Canceled {
+			t.Fatalf("%s: want context.Canceled, got %v", h.name, err)
+		}
+		if elapsed := time.Since(start); elapsed > 10*time.Second {
+			t.Errorf("%s: cancelled fleet run took %v", h.name, elapsed)
+		}
+		if results[0].Err == nil {
+			t.Errorf("%s: unfinished experiment should carry an error", h.name)
+		}
+		if n := bodies.Swap(0); n != 0 {
+			t.Errorf("%s: %d unit bodies ran after cancellation, want 0", h.name, n)
+		}
 	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Errorf("cancelled fleet run took %v", elapsed)
+}
+
+// TestInProcessRejectsUnitTimeout: an in-process unit cannot be killed,
+// so a deadline without a Transport is refused up front instead of being
+// silently ignored.
+func TestInProcessRejectsUnitTimeout(t *testing.T) {
+	lookup := synthLookup(synthSpec("alpha", 2))
+	_, err := Run(context.Background(), []string{"alpha"}, Options{Lookup: lookup, UnitTimeout: time.Minute})
+	if err == nil || !strings.Contains(err.Error(), "UnitTimeout") {
+		t.Fatalf("want an error naming UnitTimeout, got %v", err)
 	}
-	if results[0].Err == nil {
-		t.Errorf("unfinished experiment should carry an error")
+}
+
+// TestFleetElapsedEndsAtLastUnit: an experiment's Elapsed stops when its
+// last unit is accounted for, not when the whole suite ends. On one slot,
+// fast runs first and must not be charged for slow's unit.
+func TestFleetElapsedEndsAtLastUnit(t *testing.T) {
+	lookup := synthLookup(sleepSpec("fast", 10*time.Millisecond), sleepSpec("slow", 300*time.Millisecond))
+	for _, h := range healthy(lookup) {
+		results, err := Run(context.Background(), []string{"fast", "slow"}, Options{
+			Workers:   1,
+			Transport: h.tr,
+			Lookup:    lookup,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", h.name, err)
+		}
+		fast, slow := results[0], results[1]
+		if fast.Elapsed <= 0 || fast.Elapsed >= slow.Work {
+			t.Errorf("%s: fast.Elapsed = %v, want in (0, %v), slow's unit time", h.name, fast.Elapsed, slow.Work)
+		}
 	}
 }

@@ -1,18 +1,20 @@
-// Package fleet promotes the in-process experiment runner to a
-// failure-tolerant coordinator/worker fleet: experiment units are
-// dispatched to workers (subprocesses speaking length-prefixed JSON
-// frames over stdin/stdout, or in-memory workers in tests), completed
-// parts are persisted to an fsynced resume journal, and worker crashes,
+// Package fleet is the experiment scheduler behind gsbench -j, -journal
+// and -fleet. Run flattens a suite into its experiments' units and runs
+// them on a fixed set of slots, either in-process — each slot goroutine
+// executes units itself — or through a Transport, where each slot feeds
+// one worker: a subprocess speaking length-prefixed JSON frames over
+// stdin/stdout, or an in-memory chaos worker in tests. Worker crashes,
 // hangs and corrupt replies are survived by reassigning the lost units to
-// the remaining workers with capped exponential-backoff retry.
+// the remaining workers with capped exponential-backoff retry, and
+// completed parts can be persisted to an fsynced resume journal.
 //
-// Determinism is the contract inherited from internal/runner: a unit is a
-// pure function of its spec, so any fleet shape, any injected failure
-// schedule and any resume point renders tables byte-identical to a serial
-// -j1 run. The coordinator stores each part at its declared unit index
-// and assembles in declared order; which worker (or which attempt, or
-// which process generation) produced a part cannot be observed in the
-// output. The golden-fixture and chaos tests pin exactly that.
+// Determinism is the contract: a unit is a pure function of its spec, so
+// any slot count, transport, injected failure schedule and resume point
+// renders tables byte-identical to a serial -j1 run. The coordinator
+// stores each part at its declared unit index and assembles in declared
+// order; which slot (or which attempt, or which process generation)
+// produced a part cannot be observed in the output. The golden-fixture
+// and chaos tests pin exactly that.
 package fleet
 
 import (

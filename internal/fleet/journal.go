@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
@@ -109,12 +108,30 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// openJournalAppend reopens an existing journal for appending after its
-// records were replayed by loadJournal.
-func openJournalAppend(path string) (*journal, error) {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+// openJournalAppend reopens a journal for appending after loadJournal
+// replayed it. A crash mid-append leaves a torn final line, which
+// loadJournal skips; appending after it would bury it mid-file, where the
+// next load refuses it as corruption. So the file is first cut back to
+// end — the end of the last line loadJournal accepted — newline-terminated
+// and fsynced.
+func openJournalAppend(path string, end int64) (*journal, error) {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: reopening journal: %w", err)
+	}
+	last := make([]byte, 1)
+	if err = f.Truncate(end); err == nil {
+		_, err = f.ReadAt(last, end-1)
+	}
+	if err == nil && last[0] != '\n' {
+		_, err = f.Write([]byte{'\n'})
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("fleet: cutting journal back to its last whole record: %w", err)
 	}
 	return &journal{f: f}, nil
 }
@@ -144,54 +161,58 @@ func (j *journal) record(suite, exp string, unit int, name string, part json.Raw
 
 func (j *journal) close() error { return j.f.Close() }
 
-// loadJournal reads a journal back: the header plus every completed-unit
-// record. A corrupt or truncated final line is tolerated — that is
-// exactly the artifact of a crash mid-append, and the unit it would have
-// recorded simply reruns — but corruption anywhere earlier is an error:
-// the file has been damaged, not merely cut short, and resuming from it
-// could silently drop completed units.
-func loadJournal(path string) (journalHeader, []journalRecord, error) {
+// loadJournal reads a journal back: the header, every completed-unit
+// record, and end, the byte offset just past the last line it accepted. A
+// corrupt or truncated final line is tolerated — that is exactly the
+// artifact of a crash mid-append, and the unit it would have recorded
+// simply reruns — but corruption anywhere earlier is an error: the file
+// has been damaged, not merely cut short, and resuming from it could
+// silently drop completed units.
+func loadJournal(path string) (header journalHeader, records []journalRecord, end int64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return journalHeader{}, nil, fmt.Errorf("fleet: reading journal: %w", err)
+		return journalHeader{}, nil, 0, fmt.Errorf("fleet: reading journal: %w", err)
 	}
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64<<10), MaxFrameSize)
+	// Non-blank lines, each with the offset just past it (and past its
+	// newline, if it has one).
 	var lines [][]byte
-	for sc.Scan() {
-		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
-			continue
+	var ends []int64
+	for off := 0; off < len(data); {
+		next := len(data)
+		if i := bytes.IndexByte(data[off:], '\n'); i >= 0 {
+			next = off + i + 1
 		}
-		lines = append(lines, append([]byte(nil), sc.Bytes()...))
-	}
-	if err := sc.Err(); err != nil {
-		return journalHeader{}, nil, fmt.Errorf("fleet: scanning journal: %w", err)
+		if l := bytes.TrimSpace(data[off:next]); len(l) > 0 {
+			lines = append(lines, l)
+			ends = append(ends, int64(next))
+		}
+		off = next
 	}
 	if len(lines) == 0 {
-		return journalHeader{}, nil, fmt.Errorf("fleet: journal %s is empty", path)
+		return journalHeader{}, nil, 0, fmt.Errorf("fleet: journal %s is empty", path)
 	}
-	var header journalHeader
 	if err := json.Unmarshal(lines[0], &header); err != nil || header.Suite == "" {
-		return journalHeader{}, nil, fmt.Errorf("fleet: journal %s has no valid header line: %v", path, err)
+		return journalHeader{}, nil, 0, fmt.Errorf("fleet: journal %s has no valid header line: %v", path, err)
 	}
 	if header.Version != journalVersion {
-		return journalHeader{}, nil, fmt.Errorf("fleet: journal %s is format version %d, this build reads %d", path, header.Version, journalVersion)
+		return journalHeader{}, nil, 0, fmt.Errorf("fleet: journal %s is format version %d, this build reads %d", path, header.Version, journalVersion)
 	}
-	var records []journalRecord
+	end = ends[0]
 	for i, l := range lines[1:] {
 		var rec journalRecord
 		if err := json.Unmarshal(l, &rec); err != nil || rec.Exp == "" || rec.Part == nil {
 			if i == len(lines)-2 { // final line: crash-truncated append
 				break
 			}
-			return journalHeader{}, nil, fmt.Errorf("fleet: journal %s record %d is corrupt: %v", path, i+1, err)
+			return journalHeader{}, nil, 0, fmt.Errorf("fleet: journal %s record %d is corrupt: %v", path, i+1, err)
 		}
 		if rec.Suite != header.Suite {
-			return journalHeader{}, nil, fmt.Errorf("fleet: journal %s record %d belongs to suite %s, header says %s", path, i+1, rec.Suite, header.Suite)
+			return journalHeader{}, nil, 0, fmt.Errorf("fleet: journal %s record %d belongs to suite %s, header says %s", path, i+1, rec.Suite, header.Suite)
 		}
 		records = append(records, rec)
+		end = ends[i+1]
 	}
-	return header, records, nil
+	return header, records, end, nil
 }
 
 // JournalSuite reports the id list and quick flag a journal was written
@@ -200,7 +221,7 @@ func loadJournal(path string) (journalHeader, []journalRecord, error) {
 // validation against the current binary's sweep shapes still happens
 // inside Run.
 func JournalSuite(path string) (ids []string, quick bool, err error) {
-	header, _, err := loadJournal(path)
+	header, _, _, err := loadJournal(path)
 	if err != nil {
 		return nil, false, err
 	}

@@ -1,12 +1,16 @@
 package fleet
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"gs1280/internal/experiments"
@@ -97,7 +101,7 @@ func TestJournalFormatStability(t *testing.T) {
 		t.Errorf("journal writer no longer reproduces the v1 fixture — this is a format break.\ngot:\n%s\nwant:\n%s", got, want)
 	}
 
-	header, records, err := loadJournal(fixture)
+	header, records, _, err := loadJournal(fixture)
 	if err != nil {
 		t.Fatalf("journal reader cannot load the v1 fixture: %v", err)
 	}
@@ -125,7 +129,7 @@ func TestJournalFormatStability(t *testing.T) {
 func TestJournalRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.jsonl")
 	writeFixtureJournal(t, path)
-	header, records, err := loadJournal(path)
+	header, records, _, err := loadJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,12 +170,15 @@ func TestJournalToleratesCrashTruncatedTail(t *testing.T) {
 	if err := os.WriteFile(trunc, []byte(cut), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, records, err := loadJournal(trunc)
+	_, records, end, err := loadJournal(trunc)
 	if err != nil {
 		t.Fatalf("crash-truncated tail should be tolerated: %v", err)
 	}
 	if len(records) != 2 {
 		t.Errorf("truncated journal decoded %d records, want 2", len(records))
+	}
+	if want := len(cut) - len(last)/2; end != int64(want) {
+		t.Errorf("truncated journal: end = %d, want %d (just past the last whole record)", end, want)
 	}
 
 	// Corrupt a middle record: refused outright.
@@ -181,7 +188,7 @@ func TestJournalToleratesCrashTruncatedTail(t *testing.T) {
 	if err := os.WriteFile(mid, []byte(strings.Join(lines2, "")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := loadJournal(mid); err == nil {
+	if _, _, _, err := loadJournal(mid); err == nil {
 		t.Error("mid-file corruption should be an error")
 	}
 
@@ -191,7 +198,7 @@ func TestJournalToleratesCrashTruncatedTail(t *testing.T) {
 	if err := os.WriteFile(ver, append(hdr, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := loadJournal(ver); err == nil || !strings.Contains(err.Error(), "version") {
+	if _, _, _, err := loadJournal(ver); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Errorf("future-version journal should be refused, got %v", err)
 	}
 
@@ -200,8 +207,76 @@ func TestJournalToleratesCrashTruncatedTail(t *testing.T) {
 	if err := os.WriteFile(empty, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := loadJournal(empty); err == nil {
+	if _, _, _, err := loadJournal(empty); err == nil {
 		t.Error("empty journal should be an error")
+	}
+}
+
+// TestResumeInPlaceOverTornTail: `gsbench -resume j -journal j`, the
+// command gsbench prints on SIGINT, appends to the journal it resumes. A
+// crash can leave that journal's last line torn, or whole but without its
+// newline; appending straight after either would bury a corrupt line
+// mid-file. Each resume must instead leave a journal that loads, holds
+// every unit exactly once, and resumes again executing nothing.
+func TestResumeInPlaceOverTornTail(t *testing.T) {
+	var bodies atomic.Int32
+	lookup := synthLookup(counted(&bodies, synthSpec("alpha", 9)), counted(&bodies, synthSpec("beta", 4)))
+	ids := []string{"alpha", "beta"}
+	want := serialOracle(t, ids, lookup)
+	tears := []struct {
+		name string
+		tear func(journal []byte) []byte
+	}{
+		{"last record cut in half", func(j []byte) []byte {
+			last := j[bytes.LastIndexByte(j[:len(j)-1], '\n')+1:]
+			return j[:len(j)-len(last)/2]
+		}},
+		{"first record lost, last unterminated", func(j []byte) []byte {
+			lines := bytes.SplitAfter(j, []byte("\n"))
+			return bytes.TrimSuffix(bytes.Join(append(lines[:1], lines[2:]...), nil), []byte("\n"))
+		}},
+	}
+	for _, tc := range tears {
+		path := filepath.Join(t.TempDir(), "run.jsonl")
+		if _, err := Run(context.Background(), ids, Options{Workers: 2, Lookup: lookup, JournalPath: path}); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, tc.tear(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for pass, wantRuns := range []int32{1, 0} {
+			bodies.Store(0)
+			results, err := Run(context.Background(), ids, Options{Workers: 2, Lookup: lookup, JournalPath: path, ResumeFrom: path})
+			if err != nil {
+				t.Fatalf("%s, resume %d: %v", tc.name, pass+1, err)
+			}
+			if got := renderResults(t, results); got != want {
+				t.Errorf("%s, resume %d: output differs from the serial oracle", tc.name, pass+1)
+			}
+			if n := bodies.Load(); n != wantRuns {
+				t.Errorf("%s, resume %d: executed %d units, want %d", tc.name, pass+1, n, wantRuns)
+			}
+			_, records, _, err := loadJournal(path)
+			if err != nil {
+				t.Fatalf("%s: journal unreadable after resume %d: %v", tc.name, pass+1, err)
+			}
+			seen := make(map[string]int)
+			for _, rec := range records {
+				seen[fmt.Sprintf("%s[%d]", rec.Exp, rec.Unit)]++
+			}
+			for key, n := range seen {
+				if n != 1 {
+					t.Errorf("%s, resume %d: %s journaled %d times", tc.name, pass+1, key, n)
+				}
+			}
+			if len(seen) != 13 {
+				t.Errorf("%s, resume %d: journal holds %d of 13 units", tc.name, pass+1, len(seen))
+			}
+		}
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"gs1280/internal/experiments"
-	"gs1280/internal/runner"
 )
 
 // TestWorkerProcessHelper is not a test: when re-executed with
@@ -133,7 +132,7 @@ func TestProcTransportDeadWorkerCommand(t *testing.T) {
 		t.Skip("no `false` binary on PATH")
 	}
 	done := make(chan struct{})
-	var results []runner.Result
+	var results []Result
 	go func() {
 		defer close(done)
 		results, _ = Run(context.Background(), []string{"fig1"}, Options{

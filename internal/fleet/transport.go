@@ -40,9 +40,9 @@ func orRegistry(l Lookup) Lookup {
 }
 
 // executeUnit runs one requested unit with panic containment and returns
-// the wire response. Shared by every worker implementation: the gsbench
-// -worker subprocess loop, the in-process LocalTransport, and the chaos
-// transport's healthy path — so all three agree on semantics bit for bit.
+// the wire response. Shared by both worker implementations, the gsbench
+// -worker subprocess loop and the chaos transport's healthy path, so the
+// two agree on semantics bit for bit.
 func executeUnit(lookup Lookup, env *experiments.Env, req Request) Response {
 	resp := Response{Exp: req.Exp, Unit: req.Unit}
 	spec, ok := lookup(req.Exp)
@@ -70,10 +70,10 @@ func executeUnit(lookup Lookup, env *experiments.Env, req Request) Response {
 }
 
 // runContained executes one unit, converting a panic into an error that
-// names the unit and carries the stack. The worker survives to take the
-// next unit; the coordinator surfaces the error as the experiment's
-// Result.Err without retrying (a unit is deterministic, so a panic would
-// simply repeat).
+// names the unit and carries the stack. The worker or in-process slot
+// survives to take the next unit; the coordinator surfaces the error as
+// the experiment's Result.Err without retrying (a unit is deterministic,
+// so a panic would simply repeat).
 func runContained(env *experiments.Env, u experiments.Unit) (part experiments.Part, err error) {
 	defer func() {
 		if r := recover(); r != nil {

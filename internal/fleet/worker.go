@@ -10,7 +10,7 @@ import (
 // reading Requests from r and writing Responses to w until the
 // coordinator closes the request stream (clean io.EOF) or a frame is
 // unreadable. One experiments.Env is reused across the worker's units —
-// the same engine-pooling the in-process runner gives each goroutine.
+// the same engine pooling an in-process slot gets.
 //
 // Unit panics are contained by executeUnit and reported in-band as
 // Response.Err; only transport-level failures (unreadable stdin,

@@ -46,7 +46,8 @@ func TestRepoAnnotationsPresent(t *testing.T) {
 		}
 	}
 
-	// Guarded fields: the fleet coordinator's and runner's shared state.
+	// Guarded fields: the scheduler's shared state, in the fleet
+	// coordinator.
 	guarded := collectGuardedFields(prog)
 	guardedNames := make(map[string]bool, len(guarded))
 	for obj := range guarded {
@@ -57,8 +58,7 @@ func TestRepoAnnotationsPresent(t *testing.T) {
 		"fleet.liveSlots",
 		"fleet.settled",
 		"fleet.remaining",
-		"runner.parts",
-		"runner.remaining",
+		"fleet.parts",
 	} {
 		if !guardedNames[want] {
 			t.Errorf("//gs:guardedby annotation on %s is gone; concur no longer checks its lock discipline", want)

@@ -8,8 +8,8 @@ import (
 )
 
 // Concur enforces the concurrency discipline the tiled parallel engine
-// (ROADMAP item 1) will live under, and that internal/fleet and
-// internal/runner already follow by convention. Two checks:
+// (ROADMAP item 1) will live under, and that internal/fleet, the
+// experiment scheduler, already follows by convention. Two checks:
 //
 // guardedby — a struct field annotated `//gs:guardedby <mu>` may only be
 // accessed in functions that (textually) lock <mu> first, or that are

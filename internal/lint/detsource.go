@@ -13,7 +13,7 @@ import (
 // schedules) diverge.
 //
 // Waivers: `//lint:wallclock-ok <reason>` for time-package reads that are
-// provably presentation-only (the runner's progress timing), and
+// provably presentation-only (progress or report timing), and
 // `//lint:nondet-ok <reason>` for rand/env reads outside the simulated
 // state path. Both require a reason.
 var DetSource = &Analyzer{

@@ -117,9 +117,9 @@ func collectSuppressions(fset *token.FileSet, f *ast.File) []suppression {
 // DeterministicPackages names the packages whose simulated state must be
 // bit-identical across worker counts and runs: everything a simulation's
 // event order or emitted tables can observe. internal/runner is excluded
-// from detrange (its maps feed progress output through sorted assembly)
-// but included in detsource, so its wall-clock progress timing needs the
-// explicit wallclock-ok allowlist entry.
+// from detrange but included in detsource, so it may not read the wall
+// clock; the scheduler it forwards to, internal/fleet, does its progress
+// timing outside both.
 var DeterministicPackages = map[string]bool{
 	"sim":         true,
 	"network":     true,

@@ -19,8 +19,8 @@ func flaggedSince(t0 time.Time) time.Duration {
 	return time.Since(t0) // want "wall clock"
 }
 
-// allowedWallclock carries the justified suppression used for progress
-// reporting in internal/runner.
+// allowedWallclock carries a justified suppression for presentation-only
+// progress timing.
 func allowedWallclock() time.Time {
 	return time.Now() //lint:wallclock-ok progress display only, never feeds simulated state
 }

@@ -1,27 +1,20 @@
-// Package runner executes experiment suites concurrently.
+// Package runner executes experiment suites concurrently, in-process.
 //
 // Every experiment — and every sweep point inside the sweep-style
 // experiments — is an independent single-goroutine simulation (see
-// experiments.Unit), so a full suite is embarrassingly parallel. Run
-// flattens the requested experiments into one pool of units and fans them
-// across a fixed set of workers, saturating the host while each individual
-// simulation stays single-threaded and deterministic.
-//
-// Determinism is preserved by separating execution order from output
-// order: units may finish in any interleaving, but each part is stored at
-// its declared unit index and tables are assembled in that order, so the
-// rendered output is byte-identical for any worker count.
+// experiments.Unit), so a full suite is embarrassingly parallel. Run is
+// the in-process entry point to the repo's one scheduler, fleet.Run: it
+// fans the requested experiments' units across a fixed set of slot
+// goroutines, each simulation single-threaded and deterministic, and
+// assembles every table from parts stored at their declared unit indices,
+// so the rendered output is byte-identical for any worker count.
 package runner
 
 import (
 	"context"
-	"fmt"
-	"runtime"
-	"runtime/debug"
-	"sync"
-	"time"
 
 	"gs1280/internal/experiments"
+	"gs1280/internal/fleet"
 )
 
 // Options configure a Run.
@@ -38,227 +31,32 @@ type Options struct {
 	// never the workers. All callbacks return before Run does.
 	OnUnit func(UnitDone)
 	// Lookup resolves an experiment id to its Spec. Nil means
-	// experiments.SpecByID — the paper registry. Tests (and the fleet
-	// chaos harness) inject synthetic suites here.
+	// experiments.SpecByID — the paper registry. Tests and the benchmark
+	// inject synthetic or instrumented suites here.
 	Lookup func(id string) (experiments.Spec, bool)
 }
 
 // UnitDone describes one completed unit for progress reporting.
-type UnitDone struct {
-	Experiment string        // experiment id, e.g. "fig15"
-	Unit       string        // unit name, e.g. "fig15[GS1280/32P,k=8]"
-	Done       int           // units completed so far, suite-wide
-	Total      int           // total units in the suite
-	Elapsed    time.Duration // this unit's wall-clock
-}
+type UnitDone = fleet.UnitDone
 
 // Result is one experiment's outcome. Results are returned in request
 // order regardless of completion order.
-type Result struct {
-	ID    string
-	Table *experiments.Table // nil when Err is set
-	Err   error              // unknown id, a unit panic, or the context's error if cancelled
-	Units int                // number of units the experiment split into
-	// Work sums the wall-clock of the experiment's units — the cost a
-	// serial run would pay. Elapsed spans the first unit starting to the
-	// table being assembled. Work/Elapsed approximates the parallel
-	// speed-up this experiment saw.
-	Work    time.Duration
-	Elapsed time.Duration
-}
-
-// expState tracks one in-flight experiment. Fields past units are guarded
-// by Run's mutex (gslint concur checks the annotations).
-type expState struct {
-	spec  experiments.Spec
-	units []experiments.Unit
-	//gs:guardedby mu
-	parts []experiments.Part
-	//gs:guardedby mu
-	remaining int
-	//gs:guardedby mu
-	started bool
-	//gs:guardedby mu
-	start time.Time
-	//gs:guardedby mu
-	work time.Duration
-	// err records the first unit panic; the experiment's table is
-	// abandoned.
-	//gs:guardedby mu
-	err error
-}
-
-// runUnit executes one unit with panic containment: a panicking unit is
-// converted into an error naming the unit and carrying its stack, instead
-// of tearing down the process and losing every completed result. The
-// worker goroutine survives and moves on to the next unit.
-func runUnit(env *experiments.Env, u experiments.Unit) (part experiments.Part, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("runner: unit %s panicked: %v\n%s", u.Name, r, debug.Stack())
-		}
-	}()
-	env.BeginUnit()
-	return u.Run(env), nil
-}
+type Result = fleet.Result
 
 // Run executes the experiments named by ids, fanning their units across
 // opts.Workers goroutines, and returns one Result per id in order.
 //
 // Unknown ids are reported in the corresponding Result.Err; they do not
-// abort the rest of the suite. Cancelling ctx stops dispatching further
-// units (units already executing run to completion — a simulation is not
+// abort the rest of the suite. A unit panic is contained and becomes its
+// experiment's Result.Err. Cancelling ctx starts no further unit (units
+// already executing run to completion — a simulation is not
 // interruptible), marks unfinished experiments with the context's error,
 // and returns that error alongside the completed results.
 func Run(ctx context.Context, ids []string, opts Options) ([]Result, error) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
-	lookup := opts.Lookup
-	if lookup == nil {
-		lookup = experiments.SpecByID
-	}
-
-	results := make([]Result, len(ids))
-	states := make([]*expState, len(ids))
-	type job struct{ exp, unit int }
-	var jobs []job
-	for i, id := range ids {
-		results[i].ID = id
-		spec, ok := lookup(id)
-		if !ok {
-			results[i].Err = fmt.Errorf("runner: unknown experiment id %q (see experiments.IDs)", id)
-			continue
-		}
-		units := spec.Units(opts.Quick)
-		states[i] = &expState{
-			spec:      spec,
-			units:     units,
-			parts:     make([]experiments.Part, len(units)),
-			remaining: len(units),
-		}
-		results[i].Units = len(units)
-		for u := range units {
-			jobs = append(jobs, job{exp: i, unit: u})
-		}
-	}
-	total := len(jobs)
-
-	var (
-		mu   sync.Mutex
-		done int
-		wg   sync.WaitGroup
-	)
-	// Progress events are handed to the OnUnit sink by a dedicated drain
-	// goroutine, not under mu: workers enqueue a snapshot while holding the
-	// lock (capacity == total units, each unit sends exactly once, so the
-	// send can never block) and the drain goroutine invokes the callback in
-	// enqueue order. Per-unit ordering of Done counts is preserved, and a
-	// slow sink no longer serializes result bookkeeping across workers.
-	var progressCh chan UnitDone
-	var progressDone chan struct{}
-	if opts.OnUnit != nil {
-		progressCh = make(chan UnitDone, total)
-		progressDone = make(chan struct{})
-		go func() {
-			defer close(progressDone)
-			for ev := range progressCh {
-				opts.OnUnit(ev)
-			}
-		}()
-	}
-	jobCh := make(chan job)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Each worker owns one Env: a pool of simulation engines reused
-			// (via Reset) across every unit it executes, so a sweep's worth
-			// of units stops re-growing event wheels and node pools per
-			// point. Envs are worker-private — a unit is single-goroutine —
-			// and a reset engine is bit-identical to a fresh one, so output
-			// determinism across worker counts is unaffected.
-			env := experiments.NewEnv()
-			for j := range jobCh {
-				if ctx.Err() != nil {
-					continue // cancelled: drain the queue without running
-				}
-				st := states[j.exp]
-				// Wall-clock progress timing, allowlisted for detsource: these
-				// readings feed only the OnUnit progress callback and the
-				// Work/Elapsed report fields — simulated state runs entirely on
-				// sim.Engine time and never observes them (the golden -j1/-j8
-				// fixtures would catch it if it did).
-				start := time.Now() //lint:wallclock-ok progress/report timing only, never feeds simulated state
-				mu.Lock()
-				if !st.started {
-					st.started, st.start = true, start
-				}
-				mu.Unlock()
-
-				part, uerr := runUnit(env, st.units[j.unit])
-				elapsed := time.Since(start) //lint:wallclock-ok progress/report timing only, never feeds simulated state
-
-				mu.Lock()
-				st.parts[j.unit] = part
-				if uerr != nil && st.err == nil {
-					st.err = uerr // first panic wins; siblings still run
-				}
-				st.work += elapsed
-				st.remaining--
-				last := st.remaining == 0
-				expErr := st.err
-				done++
-				if progressCh != nil {
-					progressCh <- UnitDone{
-						Experiment: results[j.exp].ID,
-						Unit:       st.units[j.unit].Name,
-						Done:       done,
-						Total:      total,
-						Elapsed:    elapsed,
-					}
-				}
-				mu.Unlock()
-
-				if last {
-					// The worker finishing the final unit assembles; parts
-					// are merged in unit order, so the table is identical
-					// whatever the completion interleaving was. A panicked
-					// experiment is never assembled — its parts are
-					// incomplete — and reports the panic instead.
-					var tab *experiments.Table
-					if expErr == nil {
-						tab = st.spec.Assemble(opts.Quick, st.parts)
-					}
-					mu.Lock()
-					results[j.exp].Table = tab
-					results[j.exp].Err = expErr
-					results[j.exp].Work = st.work
-					results[j.exp].Elapsed = time.Since(st.start) //lint:wallclock-ok progress/report timing only, never feeds simulated state
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for _, j := range jobs {
-		jobCh <- j
-	}
-	close(jobCh)
-	wg.Wait()
-	if progressCh != nil {
-		close(progressCh)
-		<-progressDone // every callback returns before Run does
-	}
-
-	if err := ctx.Err(); err != nil {
-		for i, st := range states {
-			if st != nil && results[i].Table == nil && results[i].Err == nil {
-				results[i].Err = err
-			}
-		}
-		return results, err
-	}
-	return results, nil
+	return fleet.Run(ctx, ids, fleet.Options{
+		Workers: opts.Workers,
+		Quick:   opts.Quick,
+		Lookup:  opts.Lookup,
+		OnUnit:  opts.OnUnit,
+	})
 }

@@ -101,7 +101,8 @@ type farEntry struct {
 // Engine is a deterministic discrete-event scheduler. The zero value is
 // ready to use. Engine is not safe for concurrent use; a simulation is a
 // single goroutine by design — concurrency across simulations belongs to
-// internal/runner, which runs one Engine per worker.
+// the experiment scheduler, internal/fleet, which gives each slot its own
+// engines.
 type Engine struct {
 	now      Time
 	seq      uint64
@@ -528,8 +529,8 @@ func (e *Engine) Stopped() bool { return e.stopped }
 // sequence counter cleared — while keeping the node pool and far-heap
 // capacity, so a reset engine behaves bit-identically to a fresh one but
 // schedules its first events without re-growing any backing storage.
-// internal/runner reuses one set of engines per worker across experiment
-// units through it. Timer handles armed on the engine are detached (their
+// The experiment scheduler reuses one set of engines per slot across
+// experiment units through it. Timer handles armed on the engine are detached (their
 // owners are expected to be discarded along with the old simulation).
 func (e *Engine) Reset() {
 	if e.l0count > 0 {

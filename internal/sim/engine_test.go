@@ -497,7 +497,7 @@ func TestTimerOrderMatchesAtArg(t *testing.T) {
 // TestEngineResetBehavesLikeFresh drives the same workload on a fresh
 // engine and on one reset after unrelated work (including events left
 // pending across every level of the wheel) and requires identical
-// dispatch traces — the property internal/runner's engine reuse rests on.
+// dispatch traces — the property the scheduler's engine reuse rests on.
 func TestEngineResetBehavesLikeFresh(t *testing.T) {
 	workload := func(e *Engine) []Time {
 		var trace []Time
