@@ -12,7 +12,7 @@ import (
 func sampleDiags() []lint.Diagnostic {
 	return []lint.Diagnostic{
 		{
-			Analyzer: "detrange",
+			Analyzer: "detflow",
 			Pos:      token.Position{Filename: "internal/sim/engine.go", Line: 10, Column: 2},
 			Message:  "range over map m",
 		},
@@ -29,7 +29,7 @@ func TestWriteText(t *testing.T) {
 	if err := writeText(&b, sampleDiags()); err != nil {
 		t.Fatal(err)
 	}
-	want := "internal/sim/engine.go:10:2: range over map m (detrange)\n" +
+	want := "internal/sim/engine.go:10:2: range over map m (detflow)\n" +
 		"internal/fleet/coordinator.go:30:5: 50% of accesses,\nunlocked: fix (concur)\n"
 	if b.String() != want {
 		t.Errorf("text output:\n%q\nwant:\n%q", b.String(), want)
@@ -48,7 +48,7 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("got %d findings, want 2", len(got))
 	}
-	if got[0].File != "internal/sim/engine.go" || got[0].Line != 10 || got[0].Col != 2 || got[0].Analyzer != "detrange" {
+	if got[0].File != "internal/sim/engine.go" || got[0].Line != 10 || got[0].Col != 2 || got[0].Analyzer != "detflow" {
 		t.Errorf("first finding mangled: %+v", got[0])
 	}
 	if got[1].Message != "50% of accesses,\nunlocked: fix" {
@@ -75,7 +75,7 @@ func TestWriteGitHubEscapes(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("multi-line message leaked into %d output lines, want 2:\n%s", len(lines), b.String())
 	}
-	if lines[0] != "::error file=internal/sim/engine.go,line=10,col=2,title=gslint(detrange)::range over map m" {
+	if lines[0] != "::error file=internal/sim/engine.go,line=10,col=2,title=gslint(detflow)::range over map m" {
 		t.Errorf("annotation form: %q", lines[0])
 	}
 	if !strings.Contains(lines[1], "50%25 of accesses,%0Aunlocked") {

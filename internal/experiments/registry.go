@@ -254,12 +254,12 @@ func SpecByID(id string) (Spec, bool) {
 // It is derived from Specs; parallel execution goes through Specs directly
 // (see internal/runner).
 //
-// Iteration-order audit (gslint detrange): consumers must never range
+// Iteration-order audit (gslint detflow): consumers must never range
 // over this map into anything ordered — emitted tables, progress lines,
 // unit queues. Every current consumer does keyed lookups only
 // (registry_test.go), and ordered walks of the catalog go through IDs(),
 // which reproduces paper order from the Specs slice. Keep it that way:
-// a map range here is exactly the -j1/-j8 divergence detrange exists to
+// a map range here is exactly the -j1/-j8 divergence detflow exists to
 // catch.
 func Registry() map[string]Runner {
 	reg := make(map[string]Runner, len(catalog))

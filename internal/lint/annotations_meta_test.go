@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"sort"
 	"testing"
 )
 
@@ -65,9 +66,25 @@ func TestRepoAnnotationsPresent(t *testing.T) {
 		}
 	}
 
-	// The detflow roots: the analyzer is vacuous if the experiments
-	// package stops being recognized as the entry-point set.
-	if roots := detflowRoots(prog); len(roots) < 50 {
-		t.Errorf("detflow found only %d experiment roots; the reachability proof has lost its entry points", len(roots))
+	// The detflow roots: DeterministicPackages matches by base name, so
+	// renaming a package would silently drop it from the proof. Every
+	// listed name must still root a module package's functions, and the
+	// experiment entry points must all still be there.
+	rooted := make(map[string]int)
+	for _, fn := range detflowRoots(prog) {
+		rooted[pkgBase(fn.Pkg().Path())]++
+	}
+	names := make([]string, 0, len(DeterministicPackages))
+	for name := range DeterministicPackages {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if rooted[name] == 0 {
+			t.Errorf("no module package named %s roots detflow; the reachability proof has lost it", name)
+		}
+	}
+	if n := rooted["experiments"]; n < 50 {
+		t.Errorf("detflow found only %d experiment roots; the reachability proof has lost its entry points", n)
 	}
 }

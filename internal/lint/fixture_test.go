@@ -53,14 +53,14 @@ func checkFixture(t *testing.T, a *Analyzer, target string, deps ...string) []Di
 }
 
 func TestDetRangeFixture(t *testing.T) {
-	diags := checkFixture(t, DetRange, "detrange")
+	diags := checkFixture(t, DetFlow, "detrange/sim")
 	if len(diags) == 0 {
 		t.Fatal("fixture produced no diagnostics; it must demonstrate at least one caught violation")
 	}
 }
 
 func TestDetSourceFixture(t *testing.T) {
-	diags := checkFixture(t, DetSource, "detsource")
+	diags := checkFixture(t, DetFlow, "detsource/network")
 	if len(diags) == 0 {
 		t.Fatal("fixture produced no diagnostics; it must demonstrate at least one caught violation")
 	}

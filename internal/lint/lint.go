@@ -61,9 +61,9 @@ func (p *Pass) Reportf(pos token.Pos, directive string, format string, args ...a
 // line N-1. The reason is mandatory: a bare directive does not suppress,
 // so every waiver in the tree carries its justification.
 const (
-	DirUnorderedOK = "unordered-ok" // detrange/detflow: iteration order provably irrelevant
-	DirWallclockOK = "wallclock-ok" // detsource/detflow: wall-clock read never feeds simulated state
-	DirNondetOK    = "nondet-ok"    // detsource/detflow: rand/env use outside the simulated state path
+	DirUnorderedOK = "unordered-ok" // detflow: iteration order provably irrelevant
+	DirWallclockOK = "wallclock-ok" // detflow: wall-clock read never feeds simulated state
+	DirNondetOK    = "nondet-ok"    // detflow: rand/env use outside the simulated state path
 	DirAllocOK     = "alloc-ok"     // noalloc: allocation is cold, amortized, or pre-warmed
 	DirTimerOK     = "timer-ok"     // timerarg: closure scheduling off the hot path
 	DirPoolOK      = "pool-ok"      // poolsafe: pooled-record lifetime manually audited
@@ -116,10 +116,11 @@ func collectSuppressions(fset *token.FileSet, f *ast.File) []suppression {
 
 // DeterministicPackages names the packages whose simulated state must be
 // bit-identical across worker counts and runs: everything a simulation's
-// event order or emitted tables can observe. internal/runner is excluded
-// from detrange but included in detsource, so it may not read the wall
-// clock; the scheduler it forwards to, internal/fleet, does its progress
-// timing outside both.
+// event order or emitted tables can observe. Every function declared in
+// them roots detflow's reachability proof. internal/runner is not listed:
+// its only code is one call to the scheduler, internal/fleet, which times
+// progress on the wall clock, and both import experiments, so Go's import
+// rules keep every root from calling them.
 var DeterministicPackages = map[string]bool{
 	"sim":         true,
 	"network":     true,
@@ -152,7 +153,7 @@ func isHotPkg(path string) bool {
 
 // Analyzers returns the full gslint suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{DetRange, DetSource, NoAlloc, TimerArg, PoolSafe, DetFlow, Concur}
+	return []*Analyzer{NoAlloc, TimerArg, PoolSafe, DetFlow, Concur}
 }
 
 // RunAnalyzers applies each analyzer to every module package it applies

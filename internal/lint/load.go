@@ -5,9 +5,9 @@
 // a small stdlib-only loader and driver that mirror the go/analysis shape:
 // an Analyzer holds a Run function over a Pass, a Pass exposes the
 // package's syntax and type information, and cmd/gslint is the
-// multichecker. Analyzers are pure package-at-a-time passes except
-// noalloc, which follows statically resolvable callees across the whole
-// module via Program.DeclOf.
+// multichecker. timerarg and concur are package-at-a-time passes;
+// noalloc, poolsafe and detflow run once over the whole module, following
+// calls across package boundaries (Program.DeclOf, Program.CallGraph).
 package lint
 
 import (

@@ -28,7 +28,7 @@ func passFor(t *testing.T, src string) *Pass {
 		t.Fatalf("parse: %v", err)
 	}
 	prog.files["supp.go"] = f
-	return &Pass{Analyzer: DetRange, Prog: prog, Fset: prog.Fset}
+	return &Pass{Analyzer: DetFlow, Prog: prog, Fset: prog.Fset}
 }
 
 func covered(t *testing.T, src string, line int, directive string) bool {

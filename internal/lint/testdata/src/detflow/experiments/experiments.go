@@ -1,7 +1,7 @@
 // Package experiments mimics the real experiment registry's shape; its
 // base name makes every function declared here a detflow reachability
-// root. Sinks here would be detsource/detrange's business — detflow's
-// findings all land in the helper package the roots reach.
+// root. It holds no sink itself: detflow's findings all land in the
+// helper package the roots reach.
 package experiments
 
 import "detflow/helper"

@@ -1,6 +1,7 @@
-// Package helper is a support package no allowlist covers: detflow must
-// prove the functions experiments can reach are free of nondeterministic
-// sinks, and stay silent about the ones experiments cannot reach.
+// Package helper is a support package outside the deterministic set:
+// detflow must prove the functions experiments can reach are free of
+// nondeterministic sinks, and stay silent about the ones experiments
+// cannot reach.
 package helper
 
 import (
@@ -11,6 +12,10 @@ import (
 
 var start time.Time
 
+// epoch is initialized before any helper function runs, so a reached
+// package's var initializers are scanned with its functions.
+var epoch = time.Now().Unix() // want "time.Now is reachable from deterministic code"
+
 // Deterministic is a clean reachable function.
 func Deterministic(n int) int { return n * n }
 
@@ -18,7 +23,7 @@ func Deterministic(n int) int { return n * n }
 func Tainted() int { return clockNow() }
 
 func clockNow() int {
-	return int(time.Now().UnixNano()) // want "time.Now is reachable from experiment code"
+	return int(time.Now().UnixNano()) // want "time.Now is reachable from deterministic code"
 }
 
 // Clock implements the experiments.source interface; detflow finds its
@@ -26,7 +31,7 @@ func clockNow() int {
 type Clock struct{}
 
 func (Clock) Value() int {
-	return int(time.Now().Unix()) // want "time.Now is reachable from experiment code"
+	return int(time.Now().Unix()) // want "time.Now is reachable from deterministic code"
 }
 
 // Summarize folds a map in iteration order on a reachable path.

@@ -8,7 +8,8 @@
 #                  image bakes one in; a bare dev container just skips it,
 #                  because this repo builds offline and cannot go install)
 #   4. gslint      the repo-specific determinism and zero-alloc contracts
-#                  (internal/lint: detrange, detsource, noalloc, timerarg)
+#                  (internal/lint: noalloc, timerarg, poolsafe, detflow,
+#                  concur)
 #
 # Usage: scripts/lint.sh
 set -euo pipefail
