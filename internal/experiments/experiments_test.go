@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -289,6 +292,17 @@ func TestFig28KeyRatios(t *testing.T) {
 	}
 }
 
+var update = flag.Bool("update", false,
+	"rewrite internal/runner/testdata/<id>.quick.csv from the current tables")
+
+// TestRegistryAllQuick renders every experiment's quick table and diffs
+// its CSV against the committed fixture, so each of them is pinned byte
+// for byte: a change that moves any simulated number shows up here as a
+// diff. After an intentional model change, rewrite the fixtures with
+//
+//	go test ./internal/experiments -run TestRegistryAllQuick -update
+//
+// and explain the change in the commit.
 func TestRegistryAllQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full registry sweep is slow")
@@ -308,6 +322,20 @@ func TestRegistryAllQuick(t *testing.T) {
 			}
 			if !strings.Contains(tab.String(), tab.Title) {
 				t.Fatal("rendering lost the title")
+			}
+			fixture := filepath.Join("..", "runner", "testdata", id+".quick.csv")
+			if *update {
+				if err := os.WriteFile(fixture, []byte(tab.CSV()), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(fixture)
+			if err != nil {
+				t.Fatalf("missing fixture (run with -update): %v", err)
+			}
+			if got := tab.CSV(); got != string(want) {
+				t.Errorf("CSV differs from %s\ngot:\n%s\nwant:\n%s", fixture, got, want)
 			}
 		})
 	}
