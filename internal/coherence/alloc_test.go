@@ -42,11 +42,16 @@ func chase(eng *sim.Engine, s *System, base int64, lines, count int, write bool)
 	eng.Run()
 }
 
-// missPathAllocsPerOp measures heap allocations and allocated bytes per
-// access on a warmed system: the first lap creates every directory entry,
-// grows the message pool, rings and event wheel to steady state; the
-// measured laps then revisit the same lines.
-func missPathAllocsPerOp(remote bool) (allocs, bytes float64) {
+// checkMissPathAllocs warms a fresh system with one lap over an 8 MB
+// dataset in node 0's region (node 1's if remote): the lap creates every
+// directory entry and grows the message pool, rings and event wheel to
+// steady state. Two measured windows then revisit lines and must each
+// run at 0 heap allocations and 0 allocated bytes per access: one inside
+// the home's dense directory window, and one starting just past it
+// (2 MB into the region), where every lookup goes through the spill
+// table.
+func checkMissPathAllocs(t *testing.T, name string, remote, write bool) {
+	t.Helper()
 	eng, s := chaseSystem()
 	base := s.amap.RegionBase(0)
 	if remote {
@@ -54,20 +59,33 @@ func missPathAllocsPerOp(remote bool) (allocs, bytes float64) {
 	}
 	// 8 MB dataset: far beyond the 1.75 MB L2, so every lap misses.
 	const lines = (8 << 20) / 64
-	chase(eng, s, base, lines, lines, false)
+	chase(eng, s, base, lines, lines, write)
 
 	const ops = 20000
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	chase(eng, s, base, lines, ops, false)
-	runtime.ReadMemStats(&m1)
-	return float64(m1.Mallocs-m0.Mallocs) / float64(ops),
-		float64(m1.TotalAlloc-m0.TotalAlloc) / float64(ops)
+	for _, w := range []struct {
+		dir string
+		off int64
+	}{{"dense", 0}, {"spill", dirDenseSlots * s.params.LineBytes}} {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		chase(eng, s, base+w.off, lines, ops, write)
+		runtime.ReadMemStats(&m1)
+		allocs := float64(m1.Mallocs-m0.Mallocs) / ops
+		bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / ops
+		t.Logf("%s, %s directory: %.4f allocs/op, %.3f B/op", name, w.dir, allocs, bytes)
+		if allocs > 0.01 {
+			t.Errorf("%s path (%s directory) allocates %.4f allocs/op, want 0", name, w.dir, allocs)
+		}
+		if bytes > 1 {
+			t.Errorf("%s path (%s directory) allocates %.2f bytes/op, want 0", name, w.dir, bytes)
+		}
+	}
 }
 
 // TestCoherenceFastPathAllocs is the CI regression guard for the
-// steady-state miss path: a read miss — local or remote — must run the
+// steady-state miss path: a read miss — local or remote, with its line's
+// directory entry in the dense window or the spill table — must run the
 // full MAF/directory/Zbox/fill cycle without a single heap allocation.
 // Bytes/op is asserted too, not just allocs/op: the 11 B/op this suite
 // carried before PR 4 came from rare-but-large amortized events (a spill
@@ -76,38 +94,16 @@ func missPathAllocsPerOp(remote bool) (allocs, bytes float64) {
 // tolerance covers the measurement scaffolding itself (one closure per
 // chase call).
 func TestCoherenceFastPathAllocs(t *testing.T) {
-	for _, remote := range []bool{false, true} {
-		name := map[bool]string{false: "local", true: "remote"}[remote]
-		allocs, bytes := missPathAllocsPerOp(remote)
-		if allocs > 0.01 {
-			t.Errorf("%s read-miss path allocates %.4f allocs/op, want 0", name, allocs)
-		}
-		if bytes > 1 {
-			t.Errorf("%s read-miss path allocates %.2f bytes/op, want 0", name, bytes)
-		}
-	}
+	checkMissPathAllocs(t, "local read-miss", false, false)
+	checkMissPathAllocs(t, "remote read-miss", true, false)
 }
 
 // TestCoherenceWriteMissPathAllocs extends the guard to the store path:
 // read-modify-write misses exercise MAF reuse with exclusive grants and
-// must be equally allocation-free — in counts and bytes — in steady state.
+// must be equally allocation-free — in counts and bytes, in both
+// directory windows — in steady state.
 func TestCoherenceWriteMissPathAllocs(t *testing.T) {
-	eng, s := chaseSystem()
-	base := s.amap.RegionBase(0)
-	const lines = (8 << 20) / 64
-	chase(eng, s, base, lines, lines, true) // warm: every line exists dirty, victims cycle
-	const ops = 20000
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	chase(eng, s, base, lines, ops, true)
-	runtime.ReadMemStats(&m1)
-	if perOp := float64(m1.Mallocs-m0.Mallocs) / float64(ops); perOp > 0.01 {
-		t.Errorf("write-miss path allocates %.4f allocs/op, want 0", perOp)
-	}
-	if perOp := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(ops); perOp > 1 {
-		t.Errorf("write-miss path allocates %.2f bytes/op, want 0", perOp)
-	}
+	checkMissPathAllocs(t, "write-miss", false, true)
 }
 
 // TestDirEntryQueueMemoryBounded guards the transaction queue's

@@ -1,5 +1,7 @@
 package coherence
 
+import "math"
+
 // dirTable holds one home's directory entries, indexed by the dense slot
 // AddressMap.HomeSlot assigns to each line the home serves. It replaces
 // the former map[int64]*dirEntry, whose hash-and-box cost sat on the
@@ -81,55 +83,83 @@ func (t *dirTable) forEach(visit func(slot int64, e *dirEntry)) {
 }
 
 // dirSpill is the sparse-overflow fallback: open addressing with linear
-// probing over (slot → slab index), with entries pooled in fixed slabs.
+// probing over cells that pair a slot's key with its entry's slab index,
+// with entries pooled in fixed slabs.
+//
+// The hash follows the address stream. spillHome hashes a slot's aligned
+// run of spillRun slots and keeps the slot's offset within the run, so
+// the run's slots land in adjacent cells — one 64-byte line of the cell
+// array — and, because slabs hand out entries in first-touch order, in
+// adjacent entries too. A streaming footprint (a STREAM triad far beyond
+// the dense window) then walks both arrays in order instead of taking a
+// cache miss on each, and a random slot (GUPS) still costs one cell and
+// one entry.
 type dirSpill struct {
-	// keys[i] holds slot+1 so the zero value means "empty".
-	keys []int64
-	// idx[i] is the slab position of keys[i]'s entry.
-	idx []int32
+	cells []dirCell
 	// slabs allocate entries spillSlabSize at a time; an entry's address
 	// never changes once handed out.
 	slabs []*[spillSlabSize]dirEntry
 	n     int
 }
 
-const spillSlabSize = 256
+// dirCell is one probe position; a probe reads key and index in one load.
+type dirCell struct {
+	key uint32 // slot+1, so the zero value means "empty"
+	idx uint32 // slab position of the slot's entry
+}
 
-func (sp *dirSpill) entryAt(i int32) *dirEntry {
+const (
+	spillSlabSize = 256
+	// spillRun slots — 8 cells of 8 bytes, one 64-byte line — share a
+	// hash (see dirSpill).
+	spillRunShift = 3
+	spillRun      = 1 << spillRunShift
+	// maxDirSlots bounds a home's slot space: a cell keys slot+1 in 32
+	// bits, so NewSystem rejects any address map with more slots.
+	maxDirSlots = math.MaxUint32
+)
+
+// spillHome is slot's first probe position in a table of mask+1 cells.
+func spillHome(slot int64, mask uint64) uint64 {
+	run := uint64(slot) >> spillRunShift
+	return ((run*0x9E3779B97F4A7C15)>>32<<spillRunShift | uint64(slot)&(spillRun-1)) & mask
+}
+
+func (sp *dirSpill) entryAt(i uint32) *dirEntry {
 	return &sp.slabs[i>>8][i&(spillSlabSize-1)]
 }
 
 func (sp *dirSpill) find(slot int64) *dirEntry {
-	if len(sp.keys) == 0 {
+	if len(sp.cells) == 0 {
 		return nil
 	}
-	mask := uint64(len(sp.keys) - 1)
-	h := (uint64(slot) * 0x9E3779B97F4A7C15) >> 32 & mask
-	for {
-		k := sp.keys[h]
-		if k == 0 {
+	key := uint32(slot + 1)
+	mask := uint64(len(sp.cells) - 1)
+	for h := spillHome(slot, mask); ; h = (h + 1) & mask {
+		c := sp.cells[h]
+		if c.key == key {
+			return sp.entryAt(c.idx)
+		}
+		if c.key == 0 {
 			return nil
 		}
-		if k == slot+1 {
-			return sp.entryAt(sp.idx[h])
-		}
-		h = (h + 1) & mask
 	}
 }
 
 func (sp *dirSpill) get(slot int64) *dirEntry {
-	if len(sp.keys) == 0 {
+	if len(sp.cells) == 0 {
 		sp.grow()
 	}
+	key := uint32(slot + 1)
 	for {
-		mask := uint64(len(sp.keys) - 1)
-		h := (uint64(slot) * 0x9E3779B97F4A7C15) >> 32 & mask
+		mask := uint64(len(sp.cells) - 1)
+		h := spillHome(slot, mask)
 		for {
-			k := sp.keys[h]
-			if k == slot+1 {
-				return sp.entryAt(sp.idx[h])
+			c := sp.cells[h]
+			if c.key == key {
+				return sp.entryAt(c.idx)
 			}
-			if k == 0 {
+			if c.key == 0 {
 				break
 			}
 			h = (h + 1) & mask
@@ -140,7 +170,7 @@ func (sp *dirSpill) get(slot int64) *dirEntry {
 		// rehash on its next lookup of an existing key, a multi-megabyte
 		// allocation spike in the middle of a steady-state measurement
 		// window (the read-miss benchmarks' stray bytes/op).
-		if sp.n >= len(sp.keys)*3/4 {
+		if sp.n >= len(sp.cells)*3/4 {
 			sp.grow()
 			continue // re-probe in the grown table
 		}
@@ -148,42 +178,39 @@ func (sp *dirSpill) get(slot int64) *dirEntry {
 			//lint:alloc-ok slab-pool refill, amortized across spill inserts
 			sp.slabs = append(sp.slabs, new([spillSlabSize]dirEntry))
 		}
-		i := int32(sp.n)
+		i := uint32(sp.n)
 		sp.n++
-		sp.keys[h] = slot + 1
-		sp.idx[h] = i
+		sp.cells[h] = dirCell{key: key, idx: i}
 		return sp.entryAt(i)
 	}
 }
 
-// grow doubles the probe arrays (minimum 64 slots) and rehashes. The
-// slabs — and therefore entry addresses — are untouched.
+// grow doubles the cell array (minimum 64 cells) and rehashes. The slabs
+// — and therefore entry addresses — are untouched.
 func (sp *dirSpill) grow() {
-	newCap := 2 * len(sp.keys)
+	newCap := 2 * len(sp.cells)
 	if newCap == 0 {
 		newCap = 64
 	}
-	oldKeys, oldIdx := sp.keys, sp.idx
-	sp.keys = make([]int64, newCap) //lint:alloc-ok rehash on insert only, amortized doubling
-	sp.idx = make([]int32, newCap)  //lint:alloc-ok rehash on insert only, amortized doubling
+	old := sp.cells
+	sp.cells = make([]dirCell, newCap) //lint:alloc-ok rehash on insert only, amortized doubling
 	mask := uint64(newCap - 1)
-	for i, k := range oldKeys {
-		if k == 0 {
+	for _, c := range old {
+		if c.key == 0 {
 			continue
 		}
-		h := (uint64(k-1) * 0x9E3779B97F4A7C15) >> 32 & mask
-		for sp.keys[h] != 0 {
+		h := spillHome(int64(c.key)-1, mask)
+		for sp.cells[h].key != 0 {
 			h = (h + 1) & mask
 		}
-		sp.keys[h] = k
-		sp.idx[h] = oldIdx[i]
+		sp.cells[h] = c
 	}
 }
 
 func (sp *dirSpill) forEach(visit func(slot int64, e *dirEntry)) {
-	for i, k := range sp.keys {
-		if k != 0 {
-			visit(k-1, sp.entryAt(sp.idx[i]))
+	for _, c := range sp.cells {
+		if c.key != 0 {
+			visit(int64(c.key)-1, sp.entryAt(c.idx))
 		}
 	}
 }

@@ -335,6 +335,9 @@ func NewSystem(eng *sim.Engine, net *network.Network, amap AddressMap, params Pa
 	if params.MAFEntries < 1 {
 		panic("coherence: need at least one MAF entry")
 	}
+	if amap.SlotCount() > maxDirSlots {
+		panic("coherence: directory slot space exceeds the spill table's 32-bit keys")
+	}
 	s := &System{eng: eng, net: net, amap: amap, params: params}
 	s.nodes = make([]*node, n)
 	for i := range s.nodes {

@@ -323,6 +323,12 @@ func TestAddressMapValidation(t *testing.T) {
 			m := NewAddressMap(2, 1<<20, 64)
 			m.Home(2 << 20)
 		},
+		func() {
+			// 2^34 slots per home: more than a directory cell can key.
+			eng := sim.NewEngine()
+			net := network.New(eng, topology.NewTorus(2, 1), network.DefaultParams())
+			NewSystem(eng, net, NewAddressMap(2, 1<<40, 64), DefaultParams(), memctrl.DefaultParams())
+		},
 	} {
 		func() {
 			defer func() {
