@@ -18,12 +18,12 @@ import (
 // scheduling change that alters any simulated outcome, however slightly,
 // shows up here as a diff.
 //
-// To regenerate after an intentional model change:
+// Every experiment's quick table has a fixture here. To regenerate them
+// all after an intentional model change:
 //
-//	go build -o gsbench ./cmd/gsbench
-//	./gsbench -run fig12 -quick -csv -j 1 > internal/runner/testdata/fig12.quick.csv
+//	go test ./internal/experiments -run TestRegistryAllQuick -update
 //
-// (and likewise for the other ids), then explain the change in the PR.
+// then explain the change in the commit.
 func TestGoldenOutputsAcrossWorkerCounts(t *testing.T) {
 	ids := []string{"fig12", "fig15", "fig16x17", "satur-uniform", "satur-transpose",
 		"satur-hotspot", "degraded-satur", "degraded-map", "tail-satur", "tail-degraded",
