@@ -162,9 +162,8 @@ func TestFailedFabricStillDeliversRandomTraffic(t *testing.T) {
 	}
 }
 
-// TestDirLinkIndexComplete pins the O(1) linkFor replacement: the
-// direction index must resolve every adjacency entry of every wiring to
-// its exact link.
+// TestDirLinkIndexComplete pins the O(1) direction index behind linkAt:
+// it must resolve every adjacency entry of every wiring to its exact link.
 func TestDirLinkIndexComplete(t *testing.T) {
 	for _, topo := range []*topology.Topology{
 		topology.NewTorus(4, 4), topology.NewTorus(8, 2),
@@ -173,8 +172,9 @@ func TestDirLinkIndexComplete(t *testing.T) {
 		n := New(sim.NewEngine(), topo, DefaultParams())
 		for id := 0; id < topo.N(); id++ {
 			for i, e := range topo.Neighbors(topology.NodeID(id)) {
-				if got := n.linkFor(topology.NodeID(id), e); got != n.links[id][i] {
-					t.Fatalf("%s: linkFor(%d, %v) resolved the wrong link", topo.Name, id, e)
+				k := topology.LinkKey{From: topology.NodeID(id), To: e.To, Dir: e.Dir}
+				if got := n.linkAt(k); got != n.links[id][i] {
+					t.Fatalf("%s: linkAt(%v) resolved the wrong link", topo.Name, k)
 				}
 			}
 		}

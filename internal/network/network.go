@@ -103,14 +103,10 @@ type Network struct {
 	links [][]*link
 	// dirLinks[n][d] is the link out of node n through port d (nil when
 	// the node has no such port). Every topology this package wires has at
-	// most one edge per (node, direction) — New verifies it — so routing's
-	// edge-to-link resolution is one index instead of an O(degree) scan.
+	// most one edge per (node, direction) — New verifies it — so resolving
+	// a LinkKey (FailLink, RestoreLink) is one index instead of an
+	// O(degree) scan.
 	dirLinks [][numDirPorts]*link
-
-	// hopScratch is the reused next-hop buffer for route: a simulation is
-	// single-goroutine, so one scratch per network keeps the per-hop
-	// routing step allocation-free.
-	hopScratch []topology.Edge
 
 	// mask is the degraded-routing view while any link is failed (nil on a
 	// healthy fabric); failedKeys lists the failed directed edges in
@@ -174,9 +170,9 @@ func New(eng *sim.Engine, topo *topology.Topology, params Params) *Network {
 			// later wakeup rearms the same wheel node.
 			l.pumpT.Init(eng, l.pump)
 			row[i] = l
-			// Build-time invariant behind the O(1) linkFor: one edge per
-			// physical port. A topology violating it would make routing
-			// ambiguous, so fail at construction, not per hop.
+			// Build-time invariant behind the O(1) linkAt: one edge per
+			// physical port. A topology violating it would make a LinkKey
+			// ambiguous, so fail at construction, not per fault.
 			if int(e.Dir) >= numDirPorts || n.dirLinks[id][e.Dir] != nil {
 				panic(fmt.Sprintf("network: node %d has duplicate port %v", id, e.Dir))
 			}
@@ -247,7 +243,9 @@ func packetDeliver(a any) { p := a.(*Packet); p.net.deliver(p) }
 // its packets): the bound timers survive reuse, so a recycled packet's
 // whole flight allocates nothing. A reused packet must only ever be sent
 // through the network that first carried it, and never while a previous
-// flight is still in progress.
+// flight is still in progress: Send marks the packet in flight, deliver
+// clears the mark just before OnDeliver runs (so the callback may re-Send
+// it), and a Send of a marked packet panics.
 //
 //gs:noalloc guard=TestCoherenceFastPathAllocs
 func (n *Network) Send(p *Packet) {
@@ -257,6 +255,9 @@ func (n *Network) Send(p *Packet) {
 	if p.Size <= 0 {
 		panic("network: packet without size")
 	}
+	if p.inFlight {
+		panic("network: packet sent again before its previous flight was delivered")
+	}
 	if p.net == nil {
 		p.net = n
 		p.routeT.InitFunc(n.eng, packetRoute, p)
@@ -265,6 +266,7 @@ func (n *Network) Send(p *Packet) {
 	} else if p.net != n {
 		panic("network: packet reused on a different network")
 	}
+	p.inFlight = true
 	p.injectedAt = n.eng.Now()
 	p.Hops = 0
 	p.adaptiveOn = nil
@@ -281,23 +283,26 @@ func (n *Network) Send(p *Packet) {
 }
 
 // route picks the output link at node cur and enqueues the packet. It is
-// called after the router pipeline delay has elapsed. On a degraded fabric
-// (any link failed) the masked tables replace the policy tables: a fabric
-// with holes uses every surviving link regardless of shuffle budget,
-// because delivery outranks the firmware's chord-rationing heuristics.
+// called after the router pipeline delay has elapsed. The candidate links
+// are one next-hop set from the topology's tables: bit i is links[cur][i],
+// which drives Neighbors(cur)[i]. On a degraded fabric (any link failed)
+// the masked tables replace the policy tables: a fabric with holes uses
+// every surviving link regardless of shuffle budget, because delivery
+// outranks the firmware's chord-rationing heuristics.
 func (n *Network) route(p *Packet, cur topology.NodeID) {
+	var set topology.HopSet
 	if n.mask != nil {
-		n.hopScratch = n.topo.AppendNextHopsMasked(n.hopScratch[:0], cur, p.Dst, n.mask)
+		set = n.topo.NextHopSetMasked(cur, p.Dst, n.mask)
 	} else {
-		n.hopScratch = n.topo.AppendNextHopsPolicy(n.hopScratch[:0], cur, p.Dst, n.params.Policy, p.Hops)
+		set = n.topo.NextHopSetPolicy(cur, p.Dst, n.params.Policy, p.Hops)
 	}
-	hops := n.hopScratch
+	row := n.links[cur]
 	if n.params.DisableAdaptive {
 		// Deterministic escape only: the dimension-ordered first hop, with
 		// no adaptive credit held (the adaptive channel is switched off,
 		// not merely bypassed).
 		p.adaptiveOn = nil
-		n.linkFor(cur, hops[0]).enqueue(p)
+		row[set.First()].enqueue(p)
 		return
 	}
 	// Adaptive channel: among minimal hops with a free adaptive credit,
@@ -305,8 +310,8 @@ func (n *Network) route(p *Packet, cur topology.NodeID) {
 	// resolve identically run to run.
 	var chosen *link
 	var chosenCong sim.Time
-	for _, e := range hops {
-		l := n.linkFor(cur, e)
+	for s := set; s != 0; s &= s - 1 {
+		l := row[s.First()]
 		if !l.adaptiveFree(p.Class) {
 			continue
 		}
@@ -320,7 +325,7 @@ func (n *Network) route(p *Packet, cur topology.NodeID) {
 	} else {
 		// Escape (deadlock-free) channel: deterministic dimension-ordered
 		// choice — the first minimal hop in the canonical N,S,E,W order.
-		chosen = n.linkFor(cur, hops[0])
+		chosen = row[set.First()]
 		p.adaptiveOn = nil
 	}
 	chosen.enqueue(p)
@@ -347,17 +352,14 @@ func (n *Network) arrive(p *Packet, l *link) {
 	p.routeT.Schedule(n.params.RouterLatency)
 }
 
+// deliver completes a flight. OnDeliver runs last, after the in-flight mark
+// is cleared, and nothing here keeps the packet: the callback may recycle
+// or re-Send it.
 func (n *Network) deliver(p *Packet) {
 	n.delivered++
 	n.latHist[p.Crit].Record(int64(n.eng.Now() - p.injectedAt))
+	p.inFlight = false
 	p.OnDeliver()
-}
-
-// linkFor resolves a routing edge to its output link: a direction index,
-// not a neighbor scan — the per-(node, port) uniqueness it relies on is a
-// build-time invariant checked in New.
-func (n *Network) linkFor(cur topology.NodeID, e topology.Edge) *link {
-	return n.dirLinks[cur][e.Dir]
 }
 
 // Injected reports packets accepted so far.

@@ -263,6 +263,49 @@ func TestSendValidation(t *testing.T) {
 	}
 }
 
+// TestSendRejectsPacketInFlight pins Send's reuse rule: a packet waiting
+// in an output queue is still in flight, and sending it again panics
+// instead of delivering it twice.
+func TestSendRejectsPacketInFlight(t *testing.T) {
+	eng, n := testNet(4, 1)
+	// A 1 MB packet holds node 0's east wire for ~340 µs, so the next
+	// packet to node 1 waits in the queue behind it.
+	n.Send(&Packet{Src: 0, Dst: 1, Class: Request, Size: 1 << 20, OnDeliver: func() {}})
+	p := &Packet{Src: 0, Dst: 1, Class: Request, Size: CtlPacketSize, OnDeliver: func() {}}
+	n.Send(p)
+	eng.RunUntil(100 * sim.Nanosecond)
+	if q := n.QueuedAt(0); q != 1 {
+		t.Fatalf("node 0 queues %d packets, want the second one waiting", q)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("re-sending a queued packet did not panic")
+		}
+	}()
+	n.Send(p)
+}
+
+// TestResendFromOnDeliver is the other half of the rule: deliver clears
+// the in-flight mark before OnDeliver runs, so a callback may send the
+// same packet again.
+func TestResendFromOnDeliver(t *testing.T) {
+	eng, n := testNet(4, 1)
+	p := &Packet{Src: 0, Dst: 2, Class: Request, Size: CtlPacketSize}
+	flights := 0
+	p.OnDeliver = func() {
+		flights++
+		if flights < 3 {
+			p.Src, p.Dst = p.Dst, p.Src
+			n.Send(p)
+		}
+	}
+	n.Send(p)
+	eng.Run()
+	if flights != 3 || n.Delivered() != 3 || n.InFlight() != 0 {
+		t.Fatalf("flights %d, delivered %d, in flight %d; want 3, 3, 0", flights, n.Delivered(), n.InFlight())
+	}
+}
+
 func TestCongestionRaisesLatency(t *testing.T) {
 	// The same packet takes longer when the path is loaded — the essence
 	// of the Fig 15 load test.

@@ -158,6 +158,9 @@ type Packet struct {
 	// adaptiveOn remembers the link whose adaptive-channel credit this
 	// packet holds, so arrival can release it.
 	adaptiveOn *link
+	// inFlight is set by Send and cleared by deliver just before
+	// OnDeliver; Send refuses a packet that still carries it.
+	inFlight bool
 
 	// cur is the node whose router routes the packet next; via is the link
 	// the packet is currently traversing. Both are parameters of the

@@ -35,18 +35,21 @@ func (k LinkKey) String() string {
 }
 
 // Mask is a rebuilt routing view of a topology with some directed edges
-// failed: a fresh all-pairs distance table over the surviving graph plus a
-// per-edge failed flag aligned with the adjacency order, so the router's
-// next-hop scan stays an index test with no map lookups. A Mask is
-// immutable once built; rebuilding after each fail/restore event is cheap
-// (one BFS per node, machines top out at 256 nodes) and keeps routing
-// deterministic — there is no incremental state to drift.
+// failed: a fresh all-pairs distance table over the surviving graph and
+// the next-hop sets it implies, so the router's next-hop step stays one
+// table read with no map lookups. A Mask is immutable once built;
+// rebuilding after each fail/restore event is cheap (one BFS per node,
+// machines top out at 256 nodes) and keeps routing deterministic — there
+// is no incremental state to drift.
 type Mask struct {
 	t      *Topology
 	failed map[LinkKey]struct{}
-	// failedAt[n][i] marks adjacency entry i of node n as failed.
-	failedAt [][]bool
+	// failedAt[n] marks node n's failed ports (bit i is adjacency entry i).
+	failedAt []HopSet
 	dist     [][]int16
+	// next[dst*N+cur] is cur's next-hop set toward dst over the surviving
+	// graph.
+	next []HopSet
 }
 
 // NewMask rebuilds routing tables with the given directed edges excluded.
@@ -60,7 +63,7 @@ func (t *Topology) NewMask(failed []LinkKey) *Mask {
 	m := &Mask{
 		t:        t,
 		failed:   make(map[LinkKey]struct{}, len(failed)),
-		failedAt: make([][]bool, t.N()),
+		failedAt: make([]HopSet, t.N()),
 	}
 	for _, k := range failed {
 		if !t.hasEdge(k) {
@@ -68,17 +71,21 @@ func (t *Topology) NewMask(failed []LinkKey) *Mask {
 		}
 		m.failed[k] = struct{}{}
 	}
-	for n := range m.failedAt {
-		edges := t.adj[n]
-		row := make([]bool, len(edges))
+	for n, edges := range t.adj {
 		for i, e := range edges {
 			if _, bad := m.failed[LinkKey{From: NodeID(n), To: e.To, Dir: e.Dir}]; bad {
-				row[i] = true
+				m.failedAt[n] |= 1 << i
 			}
 		}
-		m.failedAt[n] = row
 	}
-	m.computeDistances()
+	dist, from, to := t.bfs(m.failedAt, nil)
+	if dist == nil {
+		panic(fmt.Sprintf("topology %s: failure set partitions the machine (node %d unreachable from %d)",
+			t.Name, to, from))
+	}
+	m.dist = dist
+	m.next = make([]HopSet, t.N()*t.N())
+	t.fillNext(m.next, m.failedAt, dist, dist)
 	return m
 }
 
@@ -109,44 +116,6 @@ func (m *Mask) FailedCount() int { return len(m.failed) }
 // when every healthy minimal path crosses a failed edge.
 func (m *Mask) Dist(a, b NodeID) int { return int(m.dist[a][b]) }
 
-// computeDistances runs the healthy BFS with failed edges skipped, and
-// panics with the unreachable pair on a true partition.
-func (m *Mask) computeDistances() {
-	t := m.t
-	n := t.N()
-	m.dist = make([][]int16, n)
-	queue := make([]NodeID, 0, n)
-	for src := 0; src < n; src++ {
-		d := make([]int16, n)
-		for i := range d {
-			d[i] = -1
-		}
-		d[src] = 0
-		queue = queue[:0]
-		queue = append(queue, NodeID(src))
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			for i, e := range t.adj[cur] {
-				if m.failedAt[cur][i] {
-					continue
-				}
-				if d[e.To] == -1 {
-					d[e.To] = d[cur] + 1
-					queue = append(queue, e.To)
-				}
-			}
-		}
-		for i, v := range d {
-			if v == -1 {
-				panic(fmt.Sprintf("topology %s: failure set partitions the machine (node %d unreachable from %d)",
-					t.Name, i, src))
-			}
-		}
-		m.dist[src] = d
-	}
-}
-
 // AppendNextHopsMasked appends cur's next hops toward dst over the
 // surviving graph onto hops and returns the extended slice — the degraded
 // counterpart of AppendNextHops, with the same deterministic adjacency
@@ -157,8 +126,15 @@ func (m *Mask) computeDistances() {
 // the healthy metric. Shuffle-budget policies do not compose with a mask:
 // a degraded fabric may use every surviving link (see network.Params).
 func (t *Topology) AppendNextHopsMasked(hops []Edge, cur, dst NodeID, m *Mask) []Edge {
+	return t.appendSet(hops, cur, t.NextHopSetMasked(cur, dst, m))
+}
+
+// NextHopSetMasked reports the edges AppendNextHopsMasked appends, as a
+// set over cur's adjacency: one read of the mask's table (the healthy
+// table when m is nil).
+func (t *Topology) NextHopSetMasked(cur, dst NodeID, m *Mask) HopSet {
 	if m == nil {
-		return t.AppendNextHops(hops, cur, dst)
+		return t.nextHopSet(cur, dst)
 	}
 	if m.t != t {
 		panic("topology: mask built for a different topology")
@@ -166,23 +142,7 @@ func (t *Topology) AppendNextHopsMasked(hops []Edge, cur, dst NodeID, m *Mask) [
 	if cur == dst {
 		panic("topology: NextHopsMasked with cur == dst")
 	}
-	base := len(hops)
-	want := m.dist[cur][dst] - 1
-	bad := m.failedAt[cur]
-	for i, e := range t.adj[cur] {
-		if bad[i] {
-			continue
-		}
-		if m.dist[e.To][dst] == want {
-			hops = append(hops, e)
-		}
-	}
-	if len(hops) == base {
-		// Unreachable while the mask's invariant holds: construction
-		// verified connectivity, and BFS distances guarantee a predecessor.
-		panic(fmt.Sprintf("topology: no masked hop from %d to %d in %s", cur, dst, t.Name))
-	}
-	return hops
+	return m.next[int(dst)*t.N()+int(cur)]
 }
 
 // NextHopsMasked is the allocating convenience form of
@@ -209,10 +169,8 @@ func (t *Topology) ConnectedWithout(failed []LinkKey) bool {
 	queue := make([]NodeID, 0, n)
 	seen[0] = true
 	queue = append(queue, 0)
-	reached := 1
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
+	for head := 0; head < len(queue); head++ {
+		cur := queue[head]
 	edges:
 		for _, e := range t.adj[cur] {
 			for _, k := range failed {
@@ -222,12 +180,11 @@ func (t *Topology) ConnectedWithout(failed []LinkKey) bool {
 			}
 			if !seen[e.To] {
 				seen[e.To] = true
-				reached++
 				queue = append(queue, e.To)
 			}
 		}
 	}
-	return reached == n
+	return len(queue) == n
 }
 
 // Links enumerates every directed edge of the topology in deterministic

@@ -1,5 +1,7 @@
 package topology
 
+import "fmt"
+
 // RoutePolicy selects how shuffle links may be used, mirroring §4.1's two
 // measured schemes. On a plain torus all policies are equivalent.
 type RoutePolicy int
@@ -48,39 +50,38 @@ func (p RoutePolicy) budget(hopsTaken int) int {
 	}
 }
 
-// hasShuffle reports whether the topology contains any shuffle links.
-func (t *Topology) hasShuffle() bool {
-	for _, edges := range t.adj {
-		for _, e := range edges {
-			if e.Dir == Shuffle {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // ensurePolicyTables lazily builds the budget-restricted distance tables
-// d0 (no shuffle links), d1 (shuffle in first hop) and d2 (first two hops).
+// d0 (no shuffle links), d1 (shuffle in first hop) and d2 (first two hops),
+// and from their rows the matching next-hop sets: under budget b a hop must
+// reach a node one step closer to dst under budget b-1 (0 for b = 0), and
+// budget 0 may not take a shuffle port.
 func (t *Topology) ensurePolicyTables() {
 	if t.distBudget != nil {
 		return
 	}
 	n := t.N()
-	d0 := t.bfsWithout(Shuffle)
+	shufflePorts := make([]HopSet, n) //lint:alloc-ok one-time lazy table build per topology
+	for id, edges := range t.adj {
+		for i, e := range edges {
+			if e.Dir == Shuffle {
+				shufflePorts[id] |= 1 << i
+			}
+		}
+	}
+	d0, from, to := t.bfs(shufflePorts, nil)
+	if d0 == nil {
+		panic(fmt.Sprintf("topology: graph disconnected without %v links from %s node %d (source %d)", Shuffle, t.Name, to, from))
+	}
 	//lint:alloc-ok one-time lazy table build per topology, cached in distBudget
-	step := func(prev [][]int16, allowShuffle bool) [][]int16 {
-		//lint:alloc-ok one-time lazy table build per topology, cached in distBudget
-		next := make([][]int16, n)
+	step := func(prev [][]int16) [][]int16 {
+		cells := make([]int16, n*n) //lint:alloc-ok one-time lazy table build per topology
+		next := make([][]int16, n)  //lint:alloc-ok one-time lazy table build per topology
 		for src := 0; src < n; src++ {
-			row := make([]int16, n) //lint:alloc-ok one-time lazy table build per topology
+			row := cells[src*n : (src+1)*n : (src+1)*n]
 			for dst := 0; dst < n; dst++ {
 				best := d0[src][dst]
 				if src != dst {
 					for _, e := range t.adj[src] {
-						if e.Dir == Shuffle && !allowShuffle {
-							continue
-						}
 						if c := prev[e.To][dst] + 1; c < best {
 							best = c
 						}
@@ -92,75 +93,26 @@ func (t *Topology) ensurePolicyTables() {
 		}
 		return next
 	}
-	d1 := step(d0, true)
-	d2 := step(d1, true)
-	t.distBudget = [][][]int16{d0, d1, d2} //lint:alloc-ok one-time lazy table build per topology
-}
-
-// bfsWithout computes all-pairs distances using only edges whose direction
-// differs from excluded.
-func (t *Topology) bfsWithout(excluded Dir) [][]int16 {
-	n := t.N()
-	out := make([][]int16, n)     //lint:alloc-ok one-time lazy table build per topology
-	queue := make([]NodeID, 0, n) //lint:alloc-ok one-time lazy table build per topology
-	for src := 0; src < n; src++ {
-		d := make([]int16, n) //lint:alloc-ok one-time lazy table build per topology
-		for i := range d {
-			d[i] = -1
+	d1 := step(d0)
+	d2 := step(d1)
+	dist := [][][]int16{d0, d1, d2}     //lint:alloc-ok one-time lazy table build per topology
+	next := make([][]HopSet, len(dist)) //lint:alloc-ok one-time lazy table build per topology
+	for b := range dist {
+		next[b] = make([]HopSet, n*n) //lint:alloc-ok one-time lazy table build per topology
+		if b == 0 {
+			t.fillNext(next[b], shufflePorts, dist[b], dist[b])
+		} else {
+			t.fillNext(next[b], nil, dist[b], dist[b-1])
 		}
-		d[src] = 0
-		queue = queue[:0]
-		queue = append(queue, NodeID(src))
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			for _, e := range t.adj[cur] {
-				if e.Dir == excluded {
-					continue
-				}
-				if d[e.To] == -1 {
-					d[e.To] = d[cur] + 1
-					queue = append(queue, e.To)
-				}
-			}
-		}
-		for i, v := range d {
-			if v == -1 {
-				panic("topology: graph disconnected without " + excluded.String() + " links from " + t.Name + " node " + itoa(i))
-			}
-		}
-		out[src] = d
 	}
-	return out
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
+	t.distBudget, t.nextBudget = dist, next
 }
 
 // DistPolicy reports the minimal hops from a to b for a packet that has
 // already taken hopsTaken hops under the given policy.
 func (t *Topology) DistPolicy(a, b NodeID, policy RoutePolicy, hopsTaken int) int {
 	budget := policy.budget(hopsTaken)
-	if budget < 0 || !t.hasShuffle() {
+	if budget < 0 || !t.shuffle {
 		return t.Dist(a, b)
 	}
 	t.ensurePolicyTables()
@@ -181,9 +133,16 @@ func (t *Topology) NextHopsPolicy(cur, dst NodeID, policy RoutePolicy, hopsTaken
 // onto hops and returns the extended slice — the scratch-reuse variant of
 // NextHopsPolicy (see AppendNextHops).
 func (t *Topology) AppendNextHopsPolicy(hops []Edge, cur, dst NodeID, policy RoutePolicy, hopsTaken int) []Edge {
+	return t.appendSet(hops, cur, t.NextHopSetPolicy(cur, dst, policy, hopsTaken))
+}
+
+// NextHopSetPolicy reports the edges AppendNextHopsPolicy appends, as a
+// set over cur's adjacency: one read of the budget's table. The router
+// walks the set's bits instead of copying edges.
+func (t *Topology) NextHopSetPolicy(cur, dst NodeID, policy RoutePolicy, hopsTaken int) HopSet {
 	budget := policy.budget(hopsTaken)
-	if budget < 0 || !t.hasShuffle() {
-		return t.AppendNextHops(hops, cur, dst)
+	if budget < 0 || !t.shuffle {
+		return t.nextHopSet(cur, dst)
 	}
 	if cur == dst {
 		panic("topology: NextHopsPolicy with cur == dst")
@@ -192,24 +151,7 @@ func (t *Topology) AppendNextHopsPolicy(hops []Edge, cur, dst NodeID, policy Rou
 	if budget > 2 {
 		budget = 2
 	}
-	cb := budget - 1
-	if cb < 0 {
-		cb = 0
-	}
-	base := len(hops)
-	want := t.distBudget[budget][cur][dst] - 1
-	for _, e := range t.adj[cur] {
-		if e.Dir == Shuffle && budget == 0 {
-			continue
-		}
-		if t.distBudget[cb][e.To][dst] == want {
-			hops = append(hops, e)
-		}
-	}
-	if len(hops) == base {
-		panic("topology: no minimal policy hop in " + t.Name)
-	}
-	return hops
+	return t.nextBudget[budget][int(dst)*t.N()+int(cur)]
 }
 
 // AvgHops reports the mean hop count over all ordered node pairs

@@ -8,7 +8,10 @@
 // for distances and minimal next-hop sets.
 package topology
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // NodeID identifies a CPU in the machine, numbered row-major: node
 // y*W + x sits at column x, row y.
@@ -74,17 +77,39 @@ type Edge struct {
 }
 
 // Topology is an immutable interconnect graph with precomputed all-pairs
-// distances. Construct one with NewTorus or NewShuffle.
+// distances and minimal next-hop sets. Construct one with NewTorus,
+// NewShuffle or NewMesh.
 type Topology struct {
 	Name string
 	W, H int
 	adj  [][]Edge
 	dist [][]int16
-	// distBudget holds shuffle-budget-restricted distance tables, built
-	// lazily by ensurePolicyTables: index 0 forbids shuffle links, index b
-	// allows them during the first b hops.
+	// next[dst*N+cur] is cur's minimal next-hop set toward dst, filled by
+	// the distance BFS (see bfs). Rows run by destination, so one packet's
+	// lookups along its path share a row.
+	next []HopSet
+	// shuffle reports whether any link is a shuffle link; without one,
+	// every routing policy is the healthy table.
+	shuffle bool
+	// distBudget and nextBudget hold the shuffle-budget-restricted
+	// distance and next-hop tables, built lazily by ensurePolicyTables:
+	// index 0 forbids shuffle links, index b allows them during the first
+	// b hops.
 	distBudget [][][]int16
+	nextBudget [][]HopSet
 }
+
+// HopSet is a set of one node's ports, as a bit mask over its adjacency:
+// bit i stands for Neighbors(n)[i]. Adjacency is sorted N, S, E, W,
+// Shuffle, so the lowest set bit is the dimension-order ("escape") hop, and
+// walking the bits upward visits ports in the router's scan order.
+type HopSet uint8
+
+// maxDegree is the most ports a HopSet can name.
+const maxDegree = 8
+
+// First reports the index of the lowest port in s (8 when s is empty).
+func (s HopSet) First() int { return bits.TrailingZeros8(uint8(s)) }
 
 // N reports the number of nodes.
 func (t *Topology) N() int { return t.W * t.H }
@@ -121,18 +146,23 @@ func (t *Topology) NextHops(cur, dst NodeID) []Edge {
 // returns the extended slice. Router hot paths pass a reused scratch
 // slice (hops[:0]) so per-hop routing does not allocate.
 func (t *Topology) AppendNextHops(hops []Edge, cur, dst NodeID) []Edge {
+	return t.appendSet(hops, cur, t.nextHopSet(cur, dst))
+}
+
+// nextHopSet reports cur's minimal next hops toward dst as a set over its
+// adjacency: one table read. It panics if cur == dst.
+func (t *Topology) nextHopSet(cur, dst NodeID) HopSet {
 	if cur == dst {
 		panic("topology: NextHops with cur == dst")
 	}
-	base := len(hops)
-	want := t.dist[cur][dst] - 1
-	for _, e := range t.adj[cur] {
-		if t.dist[e.To][dst] == want {
-			hops = append(hops, e)
-		}
-	}
-	if len(hops) == base {
-		panic(fmt.Sprintf("topology: no minimal hop from %d to %d", cur, dst))
+	return t.next[int(dst)*t.N()+int(cur)]
+}
+
+// appendSet appends the edges of cur that set names, in adjacency order.
+func (t *Topology) appendSet(hops []Edge, cur NodeID, set HopSet) []Edge {
+	edges := t.adj[cur]
+	for ; set != 0; set &= set - 1 {
+		hops = append(hops, edges[set.First()])
 	}
 	return hops
 }
@@ -160,36 +190,100 @@ func opposite(d Dir) Dir {
 	}
 }
 
-// computeDistances fills the all-pairs table by BFS from every node.
-// Machines top out at 16x16 = 256 nodes, so O(N^2) is trivial.
+// computeDistances fills the all-pairs distance table and the minimal
+// next-hop sets with one BFS per node.
 func (t *Topology) computeDistances() {
 	n := t.N()
-	t.dist = make([][]int16, n)
-	queue := make([]NodeID, 0, n)
+	t.next = make([]HopSet, n*n)
+	dist, from, to := t.bfs(nil, t.next)
+	if dist == nil {
+		panic(fmt.Sprintf("topology %s: node %d unreachable from %d", t.Name, to, from))
+	}
+	t.dist = dist
+}
+
+// bfs computes all-pairs hop counts over the edges excl leaves in: bit i
+// of excl[n] drops Neighbors(n)[i], and a nil excl drops nothing. The rows
+// share one backing array and the queue is indexed from its head, so a
+// call allocates three times whatever the graph's size. When some node is
+// unreachable, bfs returns a nil table with the first such pair (node to
+// unreachable from node from); each caller panics with its own message.
+//
+// A non-nil next is filled as well: next[src*N+cur] becomes cur's minimal
+// next-hop set toward src. This needs the kept edges to be undirected.
+// Then the BFS from src gives every node's distance to src as well as from
+// it, and every node one step closer to src is labelled before cur is
+// popped, so cur's own edge scan yields its set with no second pass.
+// addLink wires both directions of every link, so the healthy graph
+// qualifies; a Mask's failure set may be one-way, so it fills its own
+// table from the finished rows instead (fillNext).
+func (t *Topology) bfs(excl, next []HopSet) (dist [][]int16, from, to int) {
+	n := t.N()
+	cells := make([]int16, n*n) //lint:alloc-ok one-time table build per topology or mask
+	dist = make([][]int16, n)   //lint:alloc-ok one-time table build per topology or mask
+	queue := make([]NodeID, n)  //lint:alloc-ok one-time table build per topology or mask
 	for src := 0; src < n; src++ {
-		d := make([]int16, n)
+		d := cells[src*n : (src+1)*n : (src+1)*n]
 		for i := range d {
 			d[i] = -1
 		}
 		d[src] = 0
-		queue = queue[:0]
-		queue = append(queue, NodeID(src))
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			for _, e := range t.adj[cur] {
-				if d[e.To] == -1 {
-					d[e.To] = d[cur] + 1
-					queue = append(queue, e.To)
+		queue[0] = NodeID(src)
+		tail := 1
+		for head := 0; head < tail; head++ {
+			cur := queue[head]
+			var skip, set HopSet
+			if excl != nil {
+				skip = excl[cur]
+			}
+			here := d[cur]
+			edges := t.adj[cur]
+			for i := range edges {
+				to := edges[i].To
+				switch {
+				case skip&(1<<i) != 0:
+				case d[to] == -1:
+					d[to] = here + 1
+					queue[tail] = to
+					tail++
+				case d[to] == here-1:
+					set |= 1 << i
+				}
+			}
+			if next != nil {
+				next[src*n+int(cur)] = set
+			}
+		}
+		if tail < n {
+			for i, v := range d {
+				if v == -1 {
+					return nil, src, i
 				}
 			}
 		}
-		for i, v := range d {
-			if v == -1 {
-				panic(fmt.Sprintf("topology %s: node %d unreachable from %d", t.Name, i, src))
+		dist[src] = d
+	}
+	return dist, 0, 0
+}
+
+// fillNext sets next[dst*N+cur] to the ports of cur, outside excl, whose
+// far end is one step closer to dst: here[cur][dst]-1 == there[far][dst].
+// It reads only finished rows, so it assumes nothing about link symmetry.
+func (t *Topology) fillNext(next, excl []HopSet, here, there [][]int16) {
+	n := t.N()
+	for cur, edges := range t.adj {
+		mine := here[cur]
+		for i, e := range edges {
+			if excl != nil && excl[cur]&(1<<i) != 0 {
+				continue
+			}
+			far := there[e.To]
+			for dst, d := range mine {
+				if far[dst] == d-1 {
+					next[dst*n+cur] |= 1 << i
+				}
 			}
 		}
-		t.dist[src] = d
 	}
 }
 

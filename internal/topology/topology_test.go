@@ -248,7 +248,16 @@ func TestRoutePolicyBudgets(t *testing.T) {
 	// A packet that already took a hop may no longer use the chord under
 	// the 1-hop policy; it must take the plain torus path.
 	d0 := sh.DistPolicy(src, dst, RouteShuffle1Hop, 1)
-	if d1 := sh.bfsWithout(Shuffle)[src][dst]; int(d1) != d0 {
+	noShuffle := make([]HopSet, sh.N())
+	for n := range noShuffle {
+		for i, e := range sh.Neighbors(NodeID(n)) {
+			if e.Dir == Shuffle {
+				noShuffle[n] |= 1 << i
+			}
+		}
+	}
+	torusOnly, _, _ := sh.bfs(noShuffle, nil)
+	if d1 := torusOnly[src][dst]; int(d1) != d0 {
 		t.Fatalf("1-hop policy after first hop = %d, want torus-only %d", d0, d1)
 	}
 	// 2-hop policy still allows the chord after one hop.

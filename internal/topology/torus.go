@@ -46,7 +46,14 @@ func newGrid(name string, w, h int) *Topology {
 		panic(fmt.Sprintf("topology: grid %dx%d too large", w, h))
 	}
 	t := &Topology{Name: name, W: w, H: h}
+	// Every wiring here gives a node at most four ports, so the rows share
+	// one backing array; a capped window makes a fifth port append into a
+	// fresh array instead of a neighbor's row.
+	edges := make([]Edge, 4*w*h)
 	t.adj = make([][]Edge, w*h)
+	for i := range t.adj {
+		t.adj[i] = edges[4*i : 4*i : 4*i+4]
+	}
 	return t
 }
 
@@ -114,6 +121,14 @@ func verticalClass(y int) LinkClass {
 
 func (t *Topology) finish() {
 	t.sortAdjacency()
+	for n, edges := range t.adj {
+		if len(edges) > maxDegree {
+			panic(fmt.Sprintf("topology %s: node %d has %d ports, more than a HopSet holds", t.Name, n, len(edges)))
+		}
+		for _, e := range edges {
+			t.shuffle = t.shuffle || e.Dir == Shuffle
+		}
+	}
 	t.computeDistances()
 }
 

@@ -266,6 +266,9 @@ type run struct {
 	measureStart sim.Time
 	end          sim.Time
 	res          Result
+	// free holds delivered packet records for any source to reuse. It
+	// grows to the run's peak in-flight count and dies with the run.
+	free []*packetRec
 }
 
 // source is one node's injection process. stepT is the recurring injection
@@ -278,6 +281,19 @@ type source struct {
 	critRNG  *sim.RNG
 	inFlight int
 	stepT    sim.Timer
+}
+
+// packetRec is one pooled open-loop packet: the network packet plus the
+// sender and send time its delivery callback settles. OnDeliver is bound
+// once, when the record is made, so a recycled packet's whole flight
+// allocates nothing. Reuse is safe because the network reads nothing of a
+// packet once it calls OnDeliver (a lossy link's late duplicate of an
+// accepted hop touches only its replay ring), and Send panics on a packet
+// whose previous flight has not been delivered.
+type packetRec struct {
+	network.Packet
+	src    *source
+	sentAt sim.Time
 }
 
 // Run offers cfg.Rate load to net until warmup+measure elapses and returns
@@ -397,6 +413,8 @@ func (s *source) gap() sim.Time {
 }
 
 // step is the source's recurring injection event.
+//
+//gs:noalloc guard=TestOpenLoopInjectionZeroAlloc
 func (s *source) step() {
 	now := s.r.eng.Now()
 	if now >= s.r.end {
@@ -406,7 +424,11 @@ func (s *source) step() {
 	s.stepT.Schedule(s.gap())
 }
 
-// attempt offers one packet, honoring the in-flight cap.
+// attempt offers one packet, honoring the in-flight cap. A recycled record
+// carries its last flight's fields, so every field a flight reads is set
+// here; Send resets the network's own.
+//
+//gs:noalloc guard=TestOpenLoopInjectionZeroAlloc
 func (s *source) attempt(now sim.Time) {
 	dst, ok := s.r.cfg.Pattern.Dest(s.r.topo, s.node, s.rng)
 	if !ok {
@@ -426,8 +448,10 @@ func (s *source) attempt(now sim.Time) {
 		s.r.res.Injected++
 	}
 	s.inFlight++
-	sentAt := now
-	p := &network.Packet{Src: s.node, Dst: dst, Class: s.r.cfg.Class, Size: s.r.cfg.Size}
+	rec := s.get()
+	rec.sentAt = now
+	p := &rec.Packet
+	p.Src, p.Dst, p.Class, p.Size, p.Crit = s.node, dst, s.r.cfg.Class, s.r.cfg.Size, network.CritDemand
 	if s.r.cfg.BgFrac > 0 || s.r.cfg.CtlFrac > 0 {
 		switch u := s.critRNG.Float64(); {
 		case u < s.r.cfg.BgFrac:
@@ -436,16 +460,39 @@ func (s *source) attempt(now sim.Time) {
 			p.Crit = network.CritControl
 		}
 	}
-	p.OnDeliver = func() {
-		s.inFlight--
-		if sentAt >= s.r.measureStart {
-			lat := s.r.eng.Now() - sentAt
-			s.r.res.Delivered++
-			s.r.res.LatencySum += lat
-			if lat > s.r.res.MaxLatency {
-				s.r.res.MaxLatency = lat
-			}
+	s.r.net.Send(p)
+}
+
+// get takes a record off the run's free list for s, making one only when
+// the list is empty.
+func (s *source) get() *packetRec {
+	r := s.r
+	if n := len(r.free); n > 0 {
+		rec := r.free[n-1]
+		r.free = r.free[:n-1]
+		rec.src = s
+		return rec
+	}
+	rec := &packetRec{src: s}     //lint:alloc-ok pool growth to the run's peak in-flight depth
+	rec.OnDeliver = rec.delivered //lint:alloc-ok bound once per record, reused for every flight
+	return rec
+}
+
+// delivered is every pooled packet's OnDeliver: it settles the window's
+// counters and, as its last action, returns the record to the run's free
+// list.
+//
+//gs:noalloc guard=TestOpenLoopInjectionZeroAlloc
+func (rec *packetRec) delivered() {
+	s := rec.src
+	s.inFlight--
+	if rec.sentAt >= s.r.measureStart {
+		lat := s.r.eng.Now() - rec.sentAt
+		s.r.res.Delivered++
+		s.r.res.LatencySum += lat
+		if lat > s.r.res.MaxLatency {
+			s.r.res.MaxLatency = lat
 		}
 	}
-	s.r.net.Send(p)
+	s.r.free = append(s.r.free, rec)
 }
