@@ -8,10 +8,10 @@ import (
 )
 
 // The next-hop tables replace a scan of every port's distance on every
-// call. The reference functions below are that scan, kept verbatim in
-// spirit: a port is a next hop when it is not excluded and its far end is
-// one step closer to dst. Each table must return exactly the reference's
-// edges, in the reference's order, for every ordered pair.
+// call. The reference functions below are that scan: a port is a next hop
+// when it is not excluded and its far end is one step closer to dst. Each
+// table must return exactly the reference's edges, in the reference's
+// order, for every ordered pair.
 
 // refDist is a plain BFS from every node over the ports excl leaves in,
 // independent of Topology.bfs; ok is false when some pair is unreachable.
@@ -73,7 +73,8 @@ func hopTableTopologies() []*Topology {
 	}
 }
 
-// checkPairs runs check on every ordered pair of distinct nodes.
+// checkPairs requires got to return want's edges, in order, for every
+// ordered pair of distinct nodes.
 func checkPairs(t *testing.T, tp *Topology, what string, got func(cur, dst NodeID) []Edge, want func(cur, dst NodeID) []Edge) {
 	t.Helper()
 	for a := 0; a < tp.N(); a++ {
