@@ -1,8 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation. Each experiment returns a Table whose rows mirror what the
-// paper plots; cmd/gsbench prints them and bench_test.go wraps them in
-// testing.B benchmarks. The README's experiment catalog maps each id to
-// its paper artifact.
+// paper plots; cmd/gsbench prints them. The README's experiment catalog
+// maps each id to its paper artifact.
 //
 // Experiments are declared as Specs: a list of independent Units (whole
 // experiments, or individual sweep points for the sweep-style figures)

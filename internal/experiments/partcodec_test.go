@@ -87,3 +87,27 @@ func TestDecodePartRejectsGarbage(t *testing.T) {
 		}
 	}
 }
+
+// FuzzDecodePart decodes arbitrary bytes as a journaled or transported
+// Part; its seed corpus lives in testdata/fuzz. No input may panic, and
+// whatever DecodePart accepts must survive EncodePart and a second
+// decode reflect.DeepEqual.
+func FuzzDecodePart(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := DecodePart(data)
+		if err != nil {
+			return
+		}
+		b, err := EncodePart(p)
+		if err != nil {
+			t.Fatalf("EncodePart(%#v): %v", p, err)
+		}
+		back, err := DecodePart(b)
+		if err != nil {
+			t.Fatalf("DecodePart(%s) = %v", b, err)
+		}
+		if !reflect.DeepEqual(back, p) {
+			t.Fatalf("round trip not identity:\nencoded %s\ngot  %#v\nwant %#v", b, back, p)
+		}
+	})
+}

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"sort"
 	"strings"
@@ -27,6 +28,14 @@ import (
 // analyzers use the graph — "what can run because F ran" — and keeps
 // nodes identifiable by *types.Func.
 //
+// Each module package also has one node for its package-level var
+// initializers, rendered "pkg.(var initializers)". Go runs them, then the
+// package's init functions, before any of its functions and before any
+// code that reads one of its vars. So every function declared in the
+// package, and every function or initializer that uses one of its
+// package-level vars, has an edge to the node; the node's own edges are
+// what its initializers reference, plus the package's init functions.
+//
 // Edges may point outside the module (time.Now is a perfectly good edge
 // target); only module functions have out-edges, so traversals stop at
 // the module boundary naturally.
@@ -35,6 +44,8 @@ type CallGraph struct {
 	// first-reference source order — deterministic across runs, which
 	// keeps diagnostic chains stable.
 	Out map[*types.Func][]*types.Func
+	// Init maps each module package to its var-initializer node.
+	Init map[*types.Package]*types.Func
 }
 
 // CallGraph builds (once — the result is cached on the Program) the
@@ -46,25 +57,41 @@ func (pr *Program) CallGraph() *CallGraph {
 	b := &cgBuilder{
 		prog:     pr,
 		out:      make(map[*types.Func][]*types.Func),
+		init:     make(map[*types.Package]*types.Func),
 		chaCache: make(map[*types.Func][]*types.Func),
 	}
 	b.collectImplCandidates()
 	for _, pkg := range pr.Pkgs {
+		b.init[pkg.Types] = types.NewFunc(token.NoPos, pkg.Types, "(var initializers)", types.NewSignatureType(nil, nil, nil, nil, nil, false))
+	}
+	for _, pkg := range pr.Pkgs {
+		var vars []ast.Node
+		var inits []*types.Func
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
+				switch d := d.(type) {
+				case *ast.GenDecl:
+					if d.Tok == token.VAR {
+						vars = append(vars, d)
+					}
+				case *ast.FuncDecl:
+					fn, ok := pkg.Info.Defs[d.Name].(*types.Func)
+					if !ok || d.Body == nil {
+						continue
+					}
+					b.addEdges(fn, pkg, d.Body)
+					if d.Recv == nil && d.Name.Name == "init" {
+						inits = append(inits, fn)
+					}
 				}
-				fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				b.addEdges(fn, fd, pkg)
 			}
 		}
+		// No code can name an init function, so these edges are new.
+		node := b.init[pkg.Types]
+		b.addEdges(node, pkg, vars...)
+		b.out[node] = append(b.out[node], inits...)
 	}
-	pr.cg = &CallGraph{Out: b.out}
+	pr.cg = &CallGraph{Out: b.out, Init: b.init}
 	return pr.cg
 }
 
@@ -72,6 +99,7 @@ func (pr *Program) CallGraph() *CallGraph {
 type cgBuilder struct {
 	prog *Program
 	out  map[*types.Func][]*types.Func
+	init map[*types.Package]*types.Func // each package's var-initializer node
 	// impls lists every named non-interface type declared at package
 	// level in the module, in deterministic (package, name) order — the
 	// candidate set for CHA interface dispatch.
@@ -100,11 +128,15 @@ func (b *cgBuilder) collectImplCandidates() {
 	}
 }
 
-// addEdges records every function the body of fn can reach directly:
-// one edge per used *types.Func identifier (covering calls, qualified
+// addEdges records the out-edges of fn from code of pkg: a function's
+// body, or the package's var declarations for its initializer node. That
+// is one edge per used *types.Func identifier (covering calls, qualified
 // calls, method calls/values, and plain references), with interface
-// methods expanded CHA-style to their module implementations.
-func (b *cgBuilder) addEdges(fn *types.Func, fd *ast.FuncDecl, pkg *Package) {
+// methods expanded CHA-style to their module implementations, and one to
+// the initializer node of each module package whose package-level var
+// the code uses. A function also gets an edge to its own package's
+// initializer node; no node gets one to itself.
+func (b *cgBuilder) addEdges(fn *types.Func, pkg *Package, code ...ast.Node) {
 	seen := make(map[*types.Func]bool)
 	add := func(callee *types.Func) {
 		callee = callee.Origin()
@@ -113,24 +145,32 @@ func (b *cgBuilder) addEdges(fn *types.Func, fd *ast.FuncDecl, pkg *Package) {
 			b.out[fn] = append(b.out[fn], callee)
 		}
 	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		callee, ok := pkg.Info.Uses[id].(*types.Func)
-		if !ok {
-			return true
-		}
-		if isInterfaceMethod(callee) {
-			for _, impl := range b.chaTargets(callee) {
-				add(impl)
+	for _, c := range code {
+		ast.Inspect(c, func(n ast.Node) bool {
+			id, ok := n.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			switch obj := pkg.Info.Uses[id].(type) {
+			case *types.Func:
+				if isInterfaceMethod(obj) {
+					for _, impl := range b.chaTargets(obj) {
+						add(impl)
+					}
+				} else {
+					add(obj)
+				}
+			case *types.Var:
+				if node := b.init[obj.Pkg()]; node != nil && node != fn && obj.Parent() == obj.Pkg().Scope() {
+					add(node)
+				}
 			}
 			return true
-		}
-		add(callee)
-		return true
-	})
+		})
+	}
+	if own := b.init[pkg.Types]; fn != own {
+		add(own)
+	}
 }
 
 // isInterfaceMethod reports whether fn is an abstract method declared on

@@ -14,10 +14,13 @@ import (
 // Every function, method and init declared in a DeterministicPackages
 // package roots a walk of the whole-program call graph, and detflow
 // scans what the walk reaches, in any package: the body of every reached
-// function, and the var initializers of every package holding one (Go
-// runs them before any function of the package). A helper package nobody
-// listed (stats, workload, cache, ...) is covered the moment simulation
-// code can reach it, and each finding prints the root→sink call chain.
+// function, and the var initializers of every package whose initializer
+// node is reached. The graph gives a package's initializers an edge from
+// each of its functions and from each reader of one of its vars, and
+// edges to what they reference, so the walk follows initializers to a
+// fixpoint. A helper package nobody listed (stats, workload, cache, ...)
+// is covered the moment simulation code can reach it, and each finding
+// prints the root→sink call chain.
 //
 // Any use of a sink function counts, not only a call: binding time.Now
 // or os.Getenv to a variable and calling that is the same read. Methods
@@ -43,37 +46,26 @@ var wallclockFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
 var envFuncs = map[string]bool{"Getenv": true, "LookupEnv": true, "Environ": true}
 
 func runDetFlow(p *Pass) {
-	parent := p.Prog.CallGraph().ReachableFrom(detflowRoots(p.Prog))
+	cg := p.Prog.CallGraph()
+	parent := cg.ReachableFrom(detflowRoots(p.Prog))
 	// Scan in deterministic package/file/declaration order.
 	for _, pkg := range p.Prog.Pkgs {
-		var vars []*ast.GenDecl
-		var first *types.Func // the package's first reached function
+		inits := cg.Init[pkg.Types]
+		_, initsRun := parent[inits]
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {
 				switch d := d.(type) {
 				case *ast.GenDecl:
-					if d.Tok == token.VAR {
-						vars = append(vars, d)
+					if initsRun && d.Tok == token.VAR {
+						scanDetFlowSinks(p, pkg, d, func() string { return CallChain(parent, inits) })
 					}
 				case *ast.FuncDecl:
 					fn, _ := pkg.Info.Defs[d.Name].(*types.Func)
-					if _, reached := parent[fn]; !reached || d.Body == nil {
-						continue
+					if _, reached := parent[fn]; reached && d.Body != nil {
+						scanDetFlowSinks(p, pkg, d.Body, func() string { return CallChain(parent, fn) })
 					}
-					if first == nil {
-						first = fn
-					}
-					scanDetFlowSinks(p, pkg, d.Body, func() string { return CallChain(parent, fn) })
 				}
 			}
-		}
-		if first == nil {
-			continue
-		}
-		for _, gd := range vars {
-			scanDetFlowSinks(p, pkg, gd, func() string {
-				return "var initializers of " + pkgBase(pkg.Path) + ", which run before " + CallChain(parent, first)
-			})
 		}
 	}
 }
@@ -102,8 +94,8 @@ func detflowRoots(prog *Program) []*types.Func {
 }
 
 // scanDetFlowSinks reports every sink inside node: a reached function's
-// body, or a var declaration of a package holding one. chain renders how
-// deterministic code reaches node.
+// body, or a var declaration of a package whose initializers are reached.
+// chain renders how deterministic code reaches node.
 func scanDetFlowSinks(p *Pass, pkg *Package, node ast.Node, chain func() string) {
 	ast.Inspect(node, func(n ast.Node) bool {
 		switch n := n.(type) {

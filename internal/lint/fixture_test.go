@@ -88,7 +88,7 @@ func TestPoolSafeFixture(t *testing.T) {
 }
 
 func TestDetFlowFixture(t *testing.T) {
-	diags := checkFixture(t, DetFlow, "detflow/experiments", "detflow/helper")
+	diags := checkFixture(t, DetFlow, "detflow/experiments", "detflow/helper", "detflow/boot")
 	if len(diags) == 0 {
 		t.Fatal("fixture produced no diagnostics; it must demonstrate at least one caught violation")
 	}

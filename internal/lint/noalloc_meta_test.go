@@ -23,10 +23,11 @@ type noallocSite struct {
 // loop between the static and runtime halves of the zero-alloc contract:
 // every //gs:noalloc guard=TestName annotation must name a test function
 // that actually exists, in a test file that actually measures allocations
-// (testing.AllocsPerRun or a runtime.ReadMemStats mallocs delta) — and
-// every unguarded annotation must say why no runtime guard applies. An
-// annotation whose guard test was renamed or deleted fails here instead
-// of silently degrading into documentation.
+// (testing.AllocsPerRun or a runtime.ReadMemStats mallocs delta), and
+// that CI's zero-alloc step runs by name — and every unguarded annotation
+// must say why no runtime guard applies. An annotation whose guard test
+// was renamed, deleted or left out of CI fails here instead of silently
+// degrading into documentation.
 func TestNoAllocAnnotationsHaveRuntimeGuards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
@@ -61,6 +62,10 @@ func TestNoAllocAnnotationsHaveRuntimeGuards(t *testing.T) {
 	}
 
 	guards := guardTestIndex(t)
+	workflow, err := os.ReadFile(filepath.Join("..", "..", ".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatalf("reading the CI workflow: %v", err)
+	}
 
 	for _, s := range sites {
 		switch {
@@ -81,6 +86,10 @@ func TestNoAllocAnnotationsHaveRuntimeGuards(t *testing.T) {
 			if !measuresAllocs(t, file) {
 				t.Errorf("%s: guard %s (in %s) never measures allocations: expected testing.AllocsPerRun or a runtime.ReadMemStats mallocs delta",
 					s.pos, s.dir.Guard, file)
+			}
+			if !runsInCI(string(workflow), file, s.dir.Guard) {
+				t.Errorf("%s: guard %s of %s never runs in .github/workflows/ci.yml: add it to the zero-alloc guards step",
+					s.pos, s.dir.Guard, s.fn)
 			}
 		}
 	}
@@ -131,6 +140,30 @@ func guardTestIndex(t *testing.T) map[string]string {
 		t.Fatalf("walking test files: %v", err)
 	}
 	return guards
+}
+
+// runsInCI reports whether one line of the CI workflow lists the package
+// of the guard's test file and names the guard among its -run
+// alternatives, as `go test ./internal/sim -run 'TestA|TestB'` does.
+func runsInCI(workflow, file, guard string) bool {
+	dir, _ := filepath.Rel(filepath.Join("..", ".."), filepath.Dir(file))
+	pkg := "./" + filepath.ToSlash(dir)
+	for _, line := range strings.Split(workflow, "\n") {
+		f := strings.Fields(line)
+		listed, named := false, false
+		for i, w := range f {
+			listed = listed || w == pkg
+			if w == "-run" && i+1 < len(f) {
+				for _, alt := range strings.Split(strings.Trim(f[i+1], `'"^$`), "|") {
+					named = named || alt == guard
+				}
+			}
+		}
+		if listed && named {
+			return true
+		}
+	}
+	return false
 }
 
 // measuresAllocs reports whether a test file contains one of the two

@@ -1,10 +1,13 @@
 // Package experiments mimics the real experiment registry's shape; its
 // base name makes every function declared here a detflow reachability
 // root. It holds no sink itself: detflow's findings all land in the
-// helper package the roots reach.
+// helper and boot packages the roots reach.
 package experiments
 
-import "detflow/helper"
+import (
+	"detflow/boot"
+	"detflow/helper"
+)
 
 type unit struct {
 	name string
@@ -44,3 +47,6 @@ func FromSource(s source) int { return s.Value() }
 
 // Progress reaches a helper sink that carries an audited waiver.
 func Progress() int { return helper.Waived() }
+
+// Seeded reads a var of a package none of whose functions is reached.
+func Seeded() int64 { return boot.Seed }

@@ -16,6 +16,19 @@ var start time.Time
 // package's var initializers are scanned with its functions.
 var epoch = time.Now().Unix() // want "time.Now is reachable from deterministic code"
 
+// booted is set by stamp, which only this initializer calls: the walk
+// reaches stamp through helper's initializers, and the chain says so.
+var booted = stamp()
+
+func stamp() int64 {
+	return time.Now().UnixNano() // want "time.Now is reachable from deterministic code \(.*helper\.\(var initializers\) → helper\.stamp\)"
+}
+
+// init runs right after the var initializers, so it is reached with them.
+func init() {
+	booted += time.Now().Unix() // want "time.Now is reachable from deterministic code \(.*helper\.\(var initializers\) → helper\.init\)"
+}
+
 // Deterministic is a clean reachable function.
 func Deterministic(n int) int { return n * n }
 
