@@ -146,6 +146,7 @@ func guardTestIndex(t *testing.T) map[string]string {
 // of the guard's test file and names the guard among its -run
 // alternatives, as `go test ./internal/sim -run 'TestA|TestB'` does.
 func runsInCI(workflow, file, guard string) bool {
+	// file is one guardTestIndex found under ../.., so Rel cannot fail.
 	dir, _ := filepath.Rel(filepath.Join("..", ".."), filepath.Dir(file))
 	pkg := "./" + filepath.ToSlash(dir)
 	for _, line := range strings.Split(workflow, "\n") {
