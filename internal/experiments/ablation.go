@@ -20,7 +20,7 @@ import (
 //
 // It is not a paper artifact but an engineering companion: it shows how
 // much of the GS1280's load resilience each mechanism buys.
-func AblationLoadTest(outstanding []int, warm, measure sim.Time) *Table {
+func AblationLoadTest(env *Env, outstanding []int, warm, measure sim.Time) *Table {
 	if outstanding == nil {
 		outstanding = []int{4, 16, 30}
 	}
@@ -42,10 +42,7 @@ func AblationLoadTest(outstanding []int, warm, measure sim.Time) *Table {
 			NetOverride: func(p *network.Params) { p.DisableAdaptive = true }}},
 	}
 	for _, v := range variants {
-		cfg := v.cfg
-		for _, p := range loadTest(func() machine.Machine {
-			return newGS1280(cfg)
-		}, outstanding, warm, measure) {
+		for _, p := range loadTest(env, gsRig(v.cfg), outstanding, warm, measure) {
 			bw, lat := loadCells(p)
 			t.AddRow(v.name, fmt.Sprintf("%d", p.Outstanding), bw, lat)
 		}
@@ -53,9 +50,8 @@ func AblationLoadTest(outstanding []int, warm, measure sim.Time) *Table {
 	// The open-page policy only matters for sequential traffic (random
 	// load-test reads miss pages regardless), so it is ablated with a
 	// 64-byte-stride chase instead.
-	open := chaseLatency(newGS1280(machine.GS1280Config{W: 2, H: 1}),
-		8<<20, 64, 60000)
-	closed := chaseLatency(newGS1280(machine.GS1280Config{W: 2, H: 1,
+	open := chaseLatency(env, gsRig(machine.GS1280Config{W: 2, H: 1}), 8<<20, 64, 60000)
+	closed := chaseLatency(env, gsRig(machine.GS1280Config{W: 2, H: 1,
 		ZboxOverride: func(p *memctrl.Params) { p.HitLatency = p.MissLatency }}),
 		8<<20, 64, 60000)
 	t.AddRow("open-page (chase)", "-", "-", fns(open))

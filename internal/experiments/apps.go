@@ -78,19 +78,26 @@ func warmFootprints(m machine.Machine, n int, c appClass) {
 	m.ResetStats()
 }
 
-// appRate runs class c on n CPUs of m and reports aggregate operations
-// per second.
-func appRate(m machine.Machine, n int, c appClass, warm, measure sim.Time) float64 {
-	warmFootprints(m, n, c)
-	run := workload.RunTimed(m, mixStreams(m, n, c), warm, measure)
-	var ops uint64
-	for i := 0; i < n; i++ {
-		ops += m.CPU(i).Stats().Ops
+// appRate runs class c on n CPUs of a machine built from r and reports
+// aggregate operations per second.
+func appRate(env *Env, r rig, n int, c appClass, warm, measure sim.Time) float64 {
+	type args struct {
+		n             int
+		c             appClass
+		warm, measure sim.Time
 	}
-	if ops == 0 || run.Interval <= 0 {
-		return 0 // drained before measurement; no sustained rate to report
-	}
-	return float64(ops) / run.Interval.Seconds()
+	return measureRig(env, r, args{n, c, warm, measure}, func(m machine.Machine) float64 {
+		warmFootprints(m, n, c)
+		run := workload.RunTimed(m, mixStreams(m, n, c), warm, measure)
+		var ops uint64
+		for i := 0; i < n; i++ {
+			ops += m.CPU(i).Stats().Ops
+		}
+		if ops == 0 || run.Interval <= 0 {
+			return 0 // drained before measurement; no sustained rate to report
+		}
+		return float64(ops) / run.Interval.Seconds()
+	})
 }
 
 // appCounts is the CPU sweep for Figs 19/21.
@@ -98,7 +105,7 @@ var appCounts = []int{4, 8, 16, 32}
 
 // appTable builds a Fig 19/21-style scaling comparison for class c.
 // The rating is aggregate op throughput scaled by unit.
-func appTable(id, title, unitName string, c appClass, unit float64, counts []int, warm, measure sim.Time) *Table {
+func appTable(env *Env, id, title, unitName string, c appClass, unit float64, counts []int, warm, measure sim.Time) *Table {
 	if counts == nil {
 		counts = appCounts
 	}
@@ -107,16 +114,15 @@ func appTable(id, title, unitName string, c appClass, unit float64, counts []int
 		Title:  title,
 		Header: []string{"CPUs", "GS1280 " + unitName, "SC45 " + unitName, "GS320 " + unitName},
 	}
+	rate := func(r rig, cpus int) float64 { return appRate(env, r, cpus, c, warm, measure) / unit }
 	for _, n := range counts {
 		w, h := machine.StandardShape(n)
-		gs := newGS1280(machine.GS1280Config{W: w, H: h, RegionBytes: 32 << 20})
-		gsRate := appRate(gs, n, c, warm, measure) / unit
+		gsRate := rate(gsRig(machine.GS1280Config{W: w, H: h, RegionBytes: 32 << 20}), n)
 
 		// SC45: ES45 nodes over Quadrics; halo exchanges stay in-node for
 		// the four local ranks, so model one node and scale by node count
 		// with a 10% MPI efficiency haircut per doubling beyond one node.
-		es := machine.NewSMP(machine.SC45Config(4))
-		per4 := appRate(es, min4(n), c, warm, measure) / unit
+		per4 := rate(smpRig(machine.SC45Config(4)), min4(n))
 		scRate := per4
 		if n > 4 {
 			nodes := float64(n) / 4
@@ -129,8 +135,7 @@ func appTable(id, title, unitName string, c appClass, unit float64, counts []int
 
 		old := "-"
 		if n <= 32 {
-			gm := machine.NewSMP(machine.GS320Config(n))
-			old = f1(appRate(gm, n, c, warm, measure) / unit)
+			old = f1(rate(smpRig(machine.GS320Config(n)), n))
 		}
 		t.AddRow(fmt.Sprintf("%d", n), f1(gsRate), f1(scRate), old)
 	}
@@ -148,11 +153,11 @@ func min4(n int) int {
 // paper's finding: GS1280 comparable to SC45 (the application is
 // CPU-bound and the 16 MB cache helps the older machines), both well
 // above GS320.
-func Fig19Fluent(counts []int, warm, measure sim.Time) *Table {
+func Fig19Fluent(env *Env, counts []int, warm, measure sim.Time) *Table {
 	if warm == 0 {
 		warm, measure = 20*sim.Microsecond, 80*sim.Microsecond
 	}
-	t := appTable("fig19", "Fluent (CFD, large case) rating vs CPUs", "rating",
+	t := appTable(env, "fig19", "Fluent (CFD, large case) rating vs CPUs", "rating",
 		fluentClass, 1e6, counts, warm, measure)
 	t.AddNote("paper: GS1280 ~ SC45 (CPU-bound; 16MB cache helps blocked CFD); both >> GS320")
 	return t
@@ -167,11 +172,11 @@ func Fig20FluentUtil() *Table {
 
 // Fig21NASSP regenerates Fig 21: NAS Parallel SP scaling, the
 // memory-bandwidth-bound class where GS1280's private Zboxes dominate.
-func Fig21NASSP(counts []int, warm, measure sim.Time) *Table {
+func Fig21NASSP(env *Env, counts []int, warm, measure sim.Time) *Table {
 	if warm == 0 {
 		warm, measure = 20*sim.Microsecond, 80*sim.Microsecond
 	}
-	t := appTable("fig21", "NAS Parallel SP (class C) MOPS vs CPUs", "MOPS",
+	t := appTable(env, "fig21", "NAS Parallel SP (class C) MOPS vs CPUs", "MOPS",
 		spClass, 1e6, counts, warm, measure)
 	t.AddNote("paper: GS1280 >> SC45 > GS320, driven by memory bandwidth (Figs 6/7)")
 	return t
@@ -234,22 +239,15 @@ func Fig23GUPS(counts []int, warm, measure sim.Time) *Table {
 // row of Fig 23, independently runnable on env's reusable engines.
 func fig23Row(env *Env, n int, warm, measure sim.Time) Part {
 	w, h := machine.StandardShape(n)
-	gs := newGS1280(machine.GS1280Config{W: w, H: h, RegionBytes: 16 << 20, Eng: env.Engine()})
-	gsRate := gupsRate(gs, n, warm, measure)
+	gsRate := gupsRate(env, gsRig(machine.GS1280Config{W: w, H: h, RegionBytes: 16 << 20}), n, warm, measure)
 
 	old := "-"
 	if n <= 32 {
-		cfg := machine.GS320Config(n)
-		cfg.Eng = env.Engine()
-		gm := machine.NewSMP(cfg)
-		old = f1(gupsRate(gm, n, warm, measure))
+		old = f1(gupsRate(env, smpRig(machine.GS320Config(n)), n, warm, measure))
 	}
 	es := "-"
 	if n <= 4 {
-		cfg := machine.ES45Config()
-		cfg.Eng = env.Engine()
-		em := machine.NewSMP(cfg)
-		es = f1(gupsRate(em, n, warm, measure))
+		es = f1(gupsRate(env, smpRig(machine.ES45Config()), n, warm, measure))
 	}
 	return Part{Rows: [][]string{{fmt.Sprintf("%d", n), f1(gsRate), old, es}}}
 }
@@ -285,21 +283,29 @@ func fig23Spec() Spec {
 	}
 }
 
-func gupsRate(m machine.Machine, n int, warm, measure sim.Time) float64 {
-	ss := make([]cpu.Stream, m.N())
-	total := int64(n) * m.RegionBytes()
-	for i := 0; i < n; i++ {
-		ss[i] = workload.NewGUPS(0, total, 1<<30, uint64(i*104729+7))
+// gupsRate runs GUPS on n CPUs of a machine built from r, the table
+// spanning all n CPUs' memory, and reports Mupdates/s.
+func gupsRate(env *Env, r rig, n int, warm, measure sim.Time) float64 {
+	type args struct {
+		n             int
+		warm, measure sim.Time
 	}
-	run := workload.RunTimed(m, ss, warm, measure)
-	var ops uint64
-	for i := 0; i < n; i++ {
-		ops += m.CPU(i).Stats().Ops
-	}
-	if ops == 0 || run.Interval <= 0 {
-		return 0 // drained before measurement; no sustained rate to report
-	}
-	return float64(ops) / run.Interval.Seconds() / 1e6
+	return measureRig(env, r, args{n, warm, measure}, func(m machine.Machine) float64 {
+		ss := make([]cpu.Stream, m.N())
+		total := int64(n) * m.RegionBytes()
+		for i := 0; i < n; i++ {
+			ss[i] = workload.NewGUPS(0, total, 1<<30, uint64(i*104729+7))
+		}
+		run := workload.RunTimed(m, ss, warm, measure)
+		var ops uint64
+		for i := 0; i < n; i++ {
+			ops += m.CPU(i).Stats().Ops
+		}
+		if ops == 0 || run.Interval <= 0 {
+			return 0 // drained before measurement; no sustained rate to report
+		}
+		return float64(ops) / run.Interval.Seconds() / 1e6
+	})
 }
 
 // Fig24GUPSUtil regenerates Fig 24: per-direction link utilization during

@@ -17,7 +17,11 @@ import (
 // mixed population must reproduce its flag-off output byte for byte. The
 // tail-satur and tail-degraded points inject a mix, so the mode leaves
 // them alone. internal/runner's golden tests toggle it around replays.
-var critDiff struct {
+var critDiff critMode
+
+// critMode is the differential mode's state. Memo keys carry it, since it
+// changes what newGS1280 and openPoint.run build.
+type critMode struct {
 	on     bool
 	forced network.Criticality
 }
@@ -28,9 +32,8 @@ var critDiff struct {
 // worker goroutines are started after the toggle and joined before the
 // restore), never concurrently with normal runs.
 func CritDifferential(forced network.Criticality) (restore func()) {
-	critDiff.on = true
-	critDiff.forced = forced
-	return func() { critDiff.on = false }
+	critDiff = critMode{on: true, forced: forced}
+	return func() { critDiff = critMode{} }
 }
 
 // newGS1280 is the experiments' single GS1280 construction point: it

@@ -129,6 +129,7 @@ func probeLatency(net *network.Network, src, dst topology.NodeID) sim.Time {
 // healthy-distance ring. Probes run back to back on an idle fabric, so
 // each sample is the pure degraded path latency.
 func degradedMapColumn(env *Env, wiring int, level int) Part {
+	defer env.scope()() // the fabric is dead once the column returns
 	topo := degradedMapWirings[wiring].mk()
 	params := network.DefaultParams()
 	params.CritArb = critDiff.on // single-class probes: see critDiff

@@ -88,22 +88,28 @@ func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 func fns(t sim.Time) string { return fmt.Sprintf("%.0f", t.Nanoseconds()) }
 
 // chaseLatency measures the steady-state dependent-load latency of a
-// dataset on CPU 0 of m: one warm pass over every line, then a measured
-// pass capped at measureOps.
-func chaseLatency(m machine.Machine, dataset, stride int64, measureOps int) sim.Time {
-	lines := int(dataset / stride)
-	if lines < 1 {
-		lines = 1
+// dataset on CPU 0 of a machine built from r: one warm pass over every
+// line, then a measured pass capped at measureOps.
+func chaseLatency(env *Env, r rig, dataset, stride int64, measureOps int) sim.Time {
+	type args struct {
+		dataset, stride int64
+		measureOps      int
 	}
-	base := m.RegionBase(0)
-	machineRun(m, 0, workload.NewPointerChase(base, dataset, stride, lines))
-	m.ResetStats()
-	n := lines
-	if n > measureOps {
-		n = measureOps
-	}
-	machineRun(m, 0, workload.NewPointerChase(base, dataset, stride, n))
-	return m.CPU(0).Stats().AvgLatency()
+	return measureRig(env, r, args{dataset, stride, measureOps}, func(m machine.Machine) sim.Time {
+		lines := int(dataset / stride)
+		if lines < 1 {
+			lines = 1
+		}
+		base := m.RegionBase(0)
+		machineRun(m, 0, workload.NewPointerChase(base, dataset, stride, lines))
+		m.ResetStats()
+		n := lines
+		if n > measureOps {
+			n = measureOps
+		}
+		machineRun(m, 0, workload.NewPointerChase(base, dataset, stride, n))
+		return m.CPU(0).Stats().AvgLatency()
+	})
 }
 
 func machineRun(m machine.Machine, id int, s cpu.Stream) {

@@ -70,7 +70,7 @@ func TestFig04Shape(t *testing.T) {
 }
 
 func TestFig05OpenVsClosedPage(t *testing.T) {
-	tab := Fig05StrideSweep([]int64{4 << 20}, []int64{64, 16 << 10})
+	tab := Fig05StrideSweep(nil, []int64{4 << 20}, []int64{64, 16 << 10})
 	open := cell(t, tab, 0, 1)
 	closed := cell(t, tab, 0, 2)
 	if open < 80 || open > 95 {
@@ -82,7 +82,7 @@ func TestFig05OpenVsClosedPage(t *testing.T) {
 }
 
 func TestFig06LinearVsSaturating(t *testing.T) {
-	tab := Fig06StreamScaling([]int{4, 16})
+	tab := Fig06StreamScaling(nil, []int{4, 16})
 	gs4, gs16 := cell(t, tab, 0, 1), cell(t, tab, 1, 1)
 	if r := gs16 / gs4; r < 3.4 {
 		t.Errorf("GS1280 triad 16/4 CPUs = %.2f, want ~4 (linear)", r)
@@ -181,7 +181,7 @@ func TestTab1FirstRowExact(t *testing.T) {
 }
 
 func TestFig18ShuffleImproves(t *testing.T) {
-	tab := Fig18ShuffleMeasured([]int{8}, quickWarm, quickMeasure)
+	tab := Fig18ShuffleMeasured(nil, []int{8}, quickWarm, quickMeasure)
 	torus := findRow(t, tab, "torus")
 	sh1 := findRow(t, tab, "shuffle-1hop")
 	tbw, tlat := parse(t, torus[2]), parse(t, torus[3])
@@ -201,7 +201,7 @@ func TestFig18ShuffleImproves(t *testing.T) {
 }
 
 func TestFig19FluentComparable(t *testing.T) {
-	tab := Fig19Fluent([]int{4}, quickWarm, quickMeasure)
+	tab := Fig19Fluent(nil, []int{4}, quickWarm, quickMeasure)
 	gs, sc, old := cell(t, tab, 0, 1), cell(t, tab, 0, 2), cell(t, tab, 0, 3)
 	if gs < sc*0.8 || gs > sc*2.5 {
 		t.Errorf("Fluent 4P: GS1280 %.0f vs SC45 %.0f, paper says comparable", gs, sc)
@@ -212,7 +212,7 @@ func TestFig19FluentComparable(t *testing.T) {
 }
 
 func TestFig21SPDominatedByGS1280(t *testing.T) {
-	tab := Fig21NASSP([]int{16}, quickWarm, quickMeasure)
+	tab := Fig21NASSP(nil, []int{16}, quickWarm, quickMeasure)
 	gs, old := cell(t, tab, 0, 1), cell(t, tab, 0, 3)
 	if r := gs / old; r < 2.0 || r > 7.0 {
 		t.Errorf("SP 16P GS1280/GS320 = %.1f, paper 2.2-2.6 (we land 3-5)", r)
@@ -270,7 +270,7 @@ func TestFig27HotSpotIsCPU0(t *testing.T) {
 }
 
 func TestFig28KeyRatios(t *testing.T) {
-	tab := Fig28Summary(quickWarm, quickMeasure)
+	tab := Fig28Summary(nil, quickWarm, quickMeasure)
 	get := func(key string) float64 { return parse(t, findRow(t, tab, key)[1]) }
 	if v := get("CPU speed"); v > 1.0 {
 		t.Errorf("CPU speed ratio %v: GS1280 clock is lower", v)
@@ -295,6 +295,17 @@ func TestFig28KeyRatios(t *testing.T) {
 var update = flag.Bool("update", false,
 	"rewrite internal/runner/testdata/<id>.quick.csv from the current tables")
 
+// quickSuiteReuses is how many measurements of the quick suite, rendered
+// serially through one memo, repeat one an earlier unit already simulated:
+// satur-uniform's six points, each replayed by degraded-satur (f=0) and by
+// flaky-satur (ber=0); five of fig7's triads, which fig6 runs (and fig6's
+// own ES45 4P at n=16); fig28's GUPS 32P and NAS-SP 16P rows, which are
+// fig23[32P] and fig21's 16P row; fig19's and fig21's SC45 4-CPU rate at
+// n=16, computed at n=4; fig5's 1 MB and 4 MB chases at a 64 B stride,
+// which are fig4's GS1280 rows; and ablation's nak-retry k=30, which is
+// fig15[GS1280/16P,k=30].
+const quickSuiteReuses = 12 + 5 + 4 + 2 + 2 + 1
+
 // TestRegistryAllQuick renders every experiment's quick table and diffs
 // its CSV against the committed fixture, so each of them is pinned byte
 // for byte: a change that moves any simulated number shows up here as a
@@ -302,18 +313,22 @@ var update = flag.Bool("update", false,
 //
 //	go test ./internal/experiments -run TestRegistryAllQuick -update
 //
-// and explain the change in the commit.
+// and explain the change in the commit. The suite renders in paper order
+// through one Env and one memo, as a serial gsbench run does, so every
+// table built from memo hits is pinned too; when every experiment ran,
+// the memo must have served exactly quickSuiteReuses results.
 func TestRegistryAllQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full registry sweep is slow")
 	}
+	env := NewEnv(NewMemo())
+	ran := 0
 	for _, id := range IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			tab, err := Run(id, true)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ran++
+			spec, _ := SpecByID(id)
+			tab := spec.run(env, true)
 			if len(tab.Rows) == 0 {
 				t.Fatalf("%s produced no rows", id)
 			}
@@ -339,6 +354,9 @@ func TestRegistryAllQuick(t *testing.T) {
 			}
 		})
 	}
+	if ran == len(IDs()) && env.Reused() != quickSuiteReuses {
+		t.Errorf("the quick suite reused %d memoized results, want %d", env.Reused(), quickSuiteReuses)
+	}
 }
 
 func TestRunUnknownID(t *testing.T) {
@@ -362,7 +380,7 @@ func TestTableRendering(t *testing.T) {
 var _ = sim.Nanosecond // keep the import for helpers
 
 func TestAblationShapes(t *testing.T) {
-	tab := AblationLoadTest([]int{16}, quickWarm, quickMeasure)
+	tab := AblationLoadTest(nil, []int{16}, quickWarm, quickMeasure)
 	base := findRow(t, tab, "baseline")
 	det := findRow(t, tab, "det-routing")
 	// Deterministic routing must not beat adaptive on latency under load.

@@ -107,6 +107,7 @@ func Fig14AvgLatency(counts []int) *Table {
 // fig14Row measures one machine size — one row of Fig 14, independently
 // runnable on env's reusable engines.
 func fig14Row(env *Env, n int) Part {
+	defer env.scope()() // both machines are dead once the row returns
 	w, h := machine.StandardShape(n)
 	gs := newGS1280(machine.GS1280Config{W: w, H: h, Eng: env.Engine()})
 	var sum float64
@@ -172,14 +173,32 @@ func loadCells(p LoadPoint) (bw, lat string) {
 	return f1(p.BandwidthMB), f1(p.LatencyNs)
 }
 
-// loadTest sweeps outstanding references on m (every CPU doing uniform
-// random remote reads) and returns the Fig 15 curve.
-func loadTest(mk func() machine.Machine, outstanding []int, warm, measure sim.Time) []LoadPoint {
+// loadTest sweeps outstanding references on a machine built from r (every
+// CPU doing uniform random remote reads) and returns the Fig 15 curve.
+func loadTest(env *Env, r rig, outstanding []int, warm, measure sim.Time) []LoadPoint {
 	var pts []LoadPoint
 	for _, k := range outstanding {
-		m := mk()
-		ss := makeLoadStreams(m, k)
-		run := workload.RunTimed(m, ss, warm, measure)
+		if p, ok := loadPoint(env, r, k, warm, measure); ok {
+			pts = append(pts, p)
+		}
+	}
+	return pts
+}
+
+// loadPoint measures one load-test sample with k references outstanding
+// per CPU on a fresh machine built from r. It reports false for a
+// saturated sample that completed no operations, which the curve skips.
+func loadPoint(env *Env, r rig, k int, warm, measure sim.Time) (LoadPoint, bool) {
+	type args struct {
+		k             int
+		warm, measure sim.Time
+	}
+	type sample struct {
+		p  LoadPoint
+		ok bool
+	}
+	s := measureRig(env, r, args{k, warm, measure}, func(m machine.Machine) sample {
+		run := workload.RunTimed(m, makeLoadStreams(m, k), warm, measure)
 		var ops uint64
 		var latSum sim.Time
 		for i := 0; i < m.N(); i++ {
@@ -191,19 +210,18 @@ func loadTest(mk func() machine.Machine, outstanding []int, warm, measure sim.Ti
 			// The streams finished inside warmup: there is nothing to
 			// measure, and dividing by the (zero) interval would emit
 			// Inf/NaN. Surface the drain instead.
-			pts = append(pts, LoadPoint{Outstanding: k, Drained: true})
-			continue
+			return sample{LoadPoint{Outstanding: k, Drained: true}, true}
 		}
 		if ops == 0 {
-			continue // saturated sample: nothing completed, skip the row
+			return sample{} // saturated sample: nothing completed, skip the row
 		}
-		pts = append(pts, LoadPoint{
+		return sample{LoadPoint{
 			Outstanding: k,
 			BandwidthMB: float64(ops) * 64 / run.Interval.Seconds() / 1e6,
 			LatencyNs:   (latSum / sim.Time(ops)).Nanoseconds(),
-		})
-	}
-	return pts
+		}, true}
+	})
+	return s.p, s.ok
 }
 
 func makeLoadStreams(m machine.Machine, k int) []cpu.Stream {
@@ -218,11 +236,13 @@ func makeLoadStreams(m machine.Machine, k int) []cpu.Stream {
 // Fig15Outstanding is the default sweep (the paper runs 1..30).
 var Fig15Outstanding = []int{1, 2, 4, 8, 12, 16, 24, 30}
 
-// fig15Config is one curve of the Fig 15 load test. mk builds the curve's
-// machine on env's reusable engines (env may be nil for fresh ones).
+// fig15Config is one curve of the Fig 15 load test: its name and the
+// machine each of its samples builds. The rig is held by pointer because
+// enumerating the suite copies each curve into every one of its units, and
+// a rig is a few hundred bytes.
 type fig15Config struct {
 	name string
-	mk   func(env *Env) machine.Machine
+	rig  *rig
 }
 
 // fig15Configs lists the five curves: 16/32/64-CPU GS1280 (with
@@ -230,20 +250,13 @@ type fig15Config struct {
 // backward past saturation in the paper) and 16/32-CPU GS320.
 func fig15Configs() []fig15Config {
 	var cfgs []fig15Config
+	add := func(name string, r rig) { cfgs = append(cfgs, fig15Config{name, &r}) }
 	for _, n := range []int{16, 32, 64} {
-		n := n
 		w, h := machine.StandardShape(n)
-		cfgs = append(cfgs, fig15Config{fmt.Sprintf("GS1280/%dP", n), func(env *Env) machine.Machine {
-			return newGS1280(machine.GS1280Config{W: w, H: h, NAKThreshold: 8, Eng: env.Engine()})
-		}})
+		add(fmt.Sprintf("GS1280/%dP", n), gsRig(machine.GS1280Config{W: w, H: h, NAKThreshold: 8}))
 	}
 	for _, n := range []int{16, 32} {
-		n := n
-		cfgs = append(cfgs, fig15Config{fmt.Sprintf("GS320/%dP", n), func(env *Env) machine.Machine {
-			cfg := machine.GS320Config(n)
-			cfg.Eng = env.Engine()
-			return machine.NewSMP(cfg)
-		}})
+		add(fmt.Sprintf("GS320/%dP", n), smpRig(machine.GS320Config(n)))
 	}
 	return cfgs
 }
@@ -253,12 +266,12 @@ func fig15Configs() []fig15Config {
 // completed no operations yields an empty part, matching loadTest's
 // skip-empty behaviour.
 func fig15Point(env *Env, c fig15Config, k int, warm, measure sim.Time) Part {
-	var rows [][]string
-	for _, p := range loadTest(func() machine.Machine { return c.mk(env) }, []int{k}, warm, measure) {
-		bw, lat := loadCells(p)
-		rows = append(rows, []string{c.name, fmt.Sprintf("%d", p.Outstanding), bw, lat})
+	p, ok := loadPoint(env, *c.rig, k, warm, measure)
+	if !ok {
+		return Part{}
 	}
-	return Part{Rows: rows}
+	bw, lat := loadCells(p)
+	return Part{Rows: [][]string{{c.name, fmt.Sprintf("%d", p.Outstanding), bw, lat}}}
 }
 
 func fig15Assemble(parts []Part) *Table {

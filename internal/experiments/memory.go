@@ -33,21 +33,15 @@ func Fig04DependentLoad(sizes []int64) *Table {
 }
 
 // fig04Row measures one dataset size on the three machines — one row of
-// Fig 4, independently runnable: each call builds fresh machines on env's
-// reusable engines.
+// Fig 4, independently runnable: each measurement builds a fresh machine
+// on env's reusable engines.
 func fig04Row(env *Env, size int64) Part {
 	const measureOps = 60000
-	gs := newGS1280(machine.GS1280Config{W: 2, H: 1, Eng: env.Engine()})
-	esCfg := machine.ES45Config()
-	esCfg.Eng = env.Engine()
-	es := machine.NewSMP(esCfg)
-	oldCfg := machine.GS320Config(4)
-	oldCfg.Eng = env.Engine()
-	old := machine.NewSMP(oldCfg)
+	chase := func(r rig) string { return fns(chaseLatency(env, r, size, 64, measureOps)) }
 	return Part{Rows: [][]string{{byteSize(size),
-		fns(chaseLatency(gs, size, 64, measureOps)),
-		fns(chaseLatency(es, size, 64, measureOps)),
-		fns(chaseLatency(old, size, 64, measureOps))}}}
+		chase(gsRig(machine.GS1280Config{W: 2, H: 1})),
+		chase(smpRig(machine.ES45Config())),
+		chase(smpRig(machine.GS320Config(4)))}}}
 }
 
 func fig04Assemble(parts []Part) *Table {
@@ -86,7 +80,7 @@ var (
 // Fig05StrideSweep regenerates Fig 5: GS1280 dependent-load latency as
 // both dataset size and stride grow. Large strides defeat the RDRAM
 // open-page hits, raising memory latency from ~83 ns toward ~130 ns.
-func Fig05StrideSweep(sizes, strides []int64) *Table {
+func Fig05StrideSweep(env *Env, sizes, strides []int64) *Table {
 	if sizes == nil {
 		sizes = Fig05Sizes
 	}
@@ -112,8 +106,7 @@ func Fig05StrideSweep(sizes, strides []int64) *Table {
 				row = append(row, "-")
 				continue
 			}
-			gs := newGS1280(machine.GS1280Config{W: 2, H: 1})
-			row = append(row, fns(chaseLatency(gs, size, stride, measureOps)))
+			row = append(row, fns(chaseLatency(env, gsRig(machine.GS1280Config{W: 2, H: 1}), size, stride, measureOps)))
 		}
 		t.AddRow(row...)
 	}
@@ -121,34 +114,42 @@ func Fig05StrideSweep(sizes, strides []int64) *Table {
 	return t
 }
 
-// triadBandwidth runs the STREAM triad on n CPUs of m and reports
-// delivered GB/s (bytes of a/b/c traffic per second, McCalpin counting).
-// A warm pass first fills each CPU's cache to steady state so the
-// measured interval includes the dirty-eviction writeback traffic a real
-// STREAM run sustains.
-func triadBandwidth(m machine.Machine, n int, arrayBytes int64, warm, measure sim.Time) float64 {
-	const warmOps = 36000 // > 1.2x the EV7 L2's 28672 lines
-	streams := make([]cpu.Stream, m.N())
-	for i := 0; i < n; i++ {
-		streams[i] = workload.NewTriad(m.RegionBase(i), arrayBytes, 1<<30)
+// triadBandwidth runs the STREAM triad on n CPUs of a machine built from
+// r and reports delivered GB/s (bytes of a/b/c traffic per second,
+// McCalpin counting). A warm pass first fills each CPU's cache to steady
+// state so the measured interval includes the dirty-eviction writeback
+// traffic a real STREAM run sustains.
+func triadBandwidth(env *Env, r rig, n int, arrayBytes int64, warm, measure sim.Time) float64 {
+	type args struct {
+		n             int
+		arrayBytes    int64
+		warm, measure sim.Time
 	}
-	// Warm pass: run the first warmOps of each CPU's stream so the caches
-	// fill with recently-streamed lines; measurement then continues the
-	// same streams into cold lines with steady-state eviction traffic.
-	for i := 0; i < n; i++ {
-		m.CPU(i).Run(workload.NewCapped(streams[i], warmOps), nil)
-	}
-	m.Engine().Run()
-	m.ResetStats()
-	run := workload.RunTimed(m, streams, warm, measure)
-	var ops uint64
-	for i := 0; i < n; i++ {
-		ops += m.CPU(i).Stats().Ops
-	}
-	if ops == 0 || run.Interval <= 0 {
-		return 0 // drained before measurement; no sustained bandwidth to report
-	}
-	return float64(ops) * 64 / run.Interval.Seconds() / 1e9
+	return measureRig(env, r, args{n, arrayBytes, warm, measure}, func(m machine.Machine) float64 {
+		const warmOps = 36000 // > 1.2x the EV7 L2's 28672 lines
+		streams := make([]cpu.Stream, m.N())
+		for i := 0; i < n; i++ {
+			streams[i] = workload.NewTriad(m.RegionBase(i), arrayBytes, 1<<30)
+		}
+		// Warm pass: run the first warmOps of each CPU's stream so the
+		// caches fill with recently-streamed lines; measurement then
+		// continues the same streams into cold lines with steady-state
+		// eviction traffic.
+		for i := 0; i < n; i++ {
+			m.CPU(i).Run(workload.NewCapped(streams[i], warmOps), nil)
+		}
+		m.Engine().Run()
+		m.ResetStats()
+		run := workload.RunTimed(m, streams, warm, measure)
+		var ops uint64
+		for i := 0; i < n; i++ {
+			ops += m.CPU(i).Stats().Ops
+		}
+		if ops == 0 || run.Interval <= 0 {
+			return 0 // drained before measurement; no sustained bandwidth to report
+		}
+		return float64(ops) * 64 / run.Interval.Seconds() / 1e9
+	})
 }
 
 // Fig06CPUCounts is the paper's scaling sweep.
@@ -157,7 +158,7 @@ var Fig06CPUCounts = []int{1, 2, 4, 8, 16, 32, 64}
 // Fig06StreamScaling regenerates Fig 6: STREAM Triad bandwidth scaling.
 // GS1280 scales linearly (private Zboxes per CPU); GS320 saturates per
 // QBB; SC45 scales in steps of four (cluster nodes share a bus).
-func Fig06StreamScaling(counts []int) *Table {
+func Fig06StreamScaling(env *Env, counts []int) *Table {
 	if counts == nil {
 		counts = Fig06CPUCounts
 	}
@@ -168,27 +169,23 @@ func Fig06StreamScaling(counts []int) *Table {
 	}
 	const arrayBytes = 8 << 20 // 3 arrays x 8 MB >> any cache
 	warm, measure := 20*sim.Microsecond, 100*sim.Microsecond
+	triad := func(r rig, cpus int) float64 { return triadBandwidth(env, r, cpus, arrayBytes, warm, measure) }
 	for _, n := range counts {
 		w, h := machine.StandardShape(n)
-		gs := newGS1280(machine.GS1280Config{W: w, H: h, RegionBytes: 32 << 20})
-		gsBW := triadBandwidth(gs, n, arrayBytes, warm, measure)
+		gsBW := triad(gsRig(machine.GS1280Config{W: w, H: h, RegionBytes: 32 << 20}), n)
 
-		sc := "-"
+		var sc string
 		if n <= 4 {
-			es := machine.NewSMP(machine.ES45Config())
-			sc = f1(triadBandwidth(es, n, arrayBytes, warm, measure))
+			sc = f1(triad(smpRig(machine.ES45Config()), n))
 		} else {
 			// SC45 clusters ES45 nodes: triad is node-local, so bandwidth
 			// is (n/4) independent nodes.
-			es := machine.NewSMP(machine.ES45Config())
-			per4 := triadBandwidth(es, 4, arrayBytes, warm, measure)
-			sc = f1(per4 * float64(n) / 4)
+			sc = f1(triad(smpRig(machine.ES45Config()), 4) * float64(n) / 4)
 		}
 
 		old := "-"
 		if n <= 32 {
-			gm := machine.NewSMP(machine.GS320Config(n))
-			old = f1(triadBandwidth(gm, n, arrayBytes, warm, measure))
+			old = f1(triad(smpRig(machine.GS320Config(n)), n))
 		}
 		t.AddRow(fmt.Sprintf("%d", n), f1(gsBW), sc, old)
 	}
@@ -198,7 +195,7 @@ func Fig06StreamScaling(counts []int) *Table {
 
 // Fig07Stream1v4 regenerates Fig 7: Triad at 1 and 4 CPUs on the three
 // machines — the private-memory vs shared-bus contrast.
-func Fig07Stream1v4() *Table {
+func Fig07Stream1v4(env *Env) *Table {
 	t := &Table{
 		ID:     "fig7",
 		Title:  "STREAM Triad (GB/s): 1 CPU vs 4 CPUs",
@@ -206,16 +203,14 @@ func Fig07Stream1v4() *Table {
 	}
 	const arrayBytes = 8 << 20
 	warm, measure := 20*sim.Microsecond, 100*sim.Microsecond
-	row := func(name string, mk func() machine.Machine) {
-		b1 := triadBandwidth(mk(), 1, arrayBytes, warm, measure)
-		b4 := triadBandwidth(mk(), 4, arrayBytes, warm, measure)
+	row := func(name string, r rig) {
+		b1 := triadBandwidth(env, r, 1, arrayBytes, warm, measure)
+		b4 := triadBandwidth(env, r, 4, arrayBytes, warm, measure)
 		t.AddRow(name, f2(b1), f2(b4), f2(b4/b1))
 	}
-	row("GS1280/1.15GHz", func() machine.Machine {
-		return newGS1280(machine.GS1280Config{W: 2, H: 2, RegionBytes: 32 << 20})
-	})
-	row("ES45/1.25GHz", func() machine.Machine { return machine.NewSMP(machine.ES45Config()) })
-	row("GS320/1.2GHz", func() machine.Machine { return machine.NewSMP(machine.GS320Config(4)) })
+	row("GS1280/1.15GHz", gsRig(machine.GS1280Config{W: 2, H: 2, RegionBytes: 32 << 20}))
+	row("ES45/1.25GHz", smpRig(machine.ES45Config()))
+	row("GS320/1.2GHz", smpRig(machine.GS320Config(4)))
 	t.AddNote("paper: GS1280 scales ~4x (private memory per CPU); ES45/GS320 sublinear (shared bus)")
 	return t
 }

@@ -25,15 +25,15 @@ import (
 // hold by construction (the *MatchSaturUniform tests pin them).
 type openPoint struct {
 	// Fabric knobs.
-	wiring        func() *topology.Topology // nil: the 8x8 torus
-	policy        topology.RoutePolicy      // network.Params.Policy
-	escape        bool                      // network.Params.DisableAdaptive
-	critArb       bool                      // network.Params.CritArb
-	faults        int                       // failed cables (degradedFaults), armed mid-warmup
-	ber           float64                   // fabric-wide per-hop error rate, half drops, half corruptions
-	badCable      float64                   // the same, on the row-0 X wrap cable alone
-	quarThreshold int                       // network.Params.QuarantineThreshold
-	quarProbation sim.Time                  // network.Params.QuarantineProbation
+	wiring        wiring               // zero: the 8x8 torus
+	policy        topology.RoutePolicy // network.Params.Policy
+	escape        bool                 // network.Params.DisableAdaptive
+	critArb       bool                 // network.Params.CritArb
+	faults        int                  // failed cables (degradedFaults), armed mid-warmup
+	ber           float64              // fabric-wide per-hop error rate, half drops, half corruptions
+	badCable      float64              // the same, on the row-0 X wrap cable alone
+	quarThreshold int                  // network.Params.QuarantineThreshold
+	quarProbation sim.Time             // network.Params.QuarantineProbation
 
 	// Traffic knobs.
 	pattern         traffic.Pattern // nil: uniform
@@ -42,47 +42,68 @@ type openPoint struct {
 	seed            uint64
 }
 
+// wiring is an open-loop point's fabric: a w x h torus, re-cabled as a
+// shuffle when shuffle is set. Zero dimensions mean 8x8.
+type wiring struct {
+	w, h    int
+	shuffle bool
+}
+
+func (w wiring) build() *topology.Topology {
+	x, y := w.w, w.h
+	if x == 0 {
+		x, y = 8, 8
+	}
+	if w.shuffle {
+		return topology.NewShuffle(x, y)
+	}
+	return topology.NewTorus(x, y)
+}
+
 // run measures the point on the unit's next engine: warm, then measure of
-// simulated time. It is the package's only traffic.Run call.
+// simulated time. It is the package's only traffic.Run call. The point and
+// its windows key the measurement in env's memo; a nil pattern keys as the
+// uniform one it runs, so the zero-knob points of the degraded and flaky
+// sweeps find satur-uniform's results.
 func (p openPoint) run(env *Env, warm, measure sim.Time) traffic.Result {
-	var topo *topology.Topology
-	if p.wiring != nil {
-		topo = p.wiring()
-	} else {
-		topo = topology.NewTorus(8, 8)
+	if p.pattern == nil {
+		p.pattern = traffic.Uniform()
 	}
-	params := network.DefaultParams()
-	params.Policy = p.policy
-	params.DisableAdaptive = p.escape
-	// The golden differential forces arbitration on for exactly the
-	// single-class points, where it must reduce to FIFO.
-	params.CritArb = p.critArb || critDiff.on && p.bgFrac == 0 && p.ctlFrac == 0
-	if p.ber > 0 {
-		params.LinkDropRate = p.ber / 2
-		params.LinkCorruptRate = p.ber / 2
-		params.LinkErrorSeed = 1
+	type args struct {
+		p             openPoint
+		warm, measure sim.Time
 	}
-	params.QuarantineThreshold = p.quarThreshold
-	params.QuarantineProbation = p.quarProbation
-	net := network.New(env.Engine(), topo, params)
-	if p.badCable > 0 {
-		net.SetLinkError(degradedFaults(topo, 1)[0], p.badCable/2, p.badCable/2)
-	}
-	scheduleFaults(net, topo, p.faults, warm)
-	pattern := p.pattern
-	if pattern == nil {
-		pattern = traffic.Uniform()
-	}
-	return traffic.Run(net, traffic.Config{
-		Pattern: pattern,
-		Rate:    p.rate / 1000, // knob rates are per us; traffic wants per ns
-		Class:   network.Request,
-		Size:    network.DataPacketSize,
-		Seed:    p.seed,
-		Warmup:  warm,
-		Measure: measure,
-		BgFrac:  p.bgFrac,
-		CtlFrac: p.ctlFrac,
+	return memoized(env, args{p, warm, measure}, func() traffic.Result {
+		topo := p.wiring.build()
+		params := network.DefaultParams()
+		params.Policy = p.policy
+		params.DisableAdaptive = p.escape
+		// The golden differential forces arbitration on for exactly the
+		// single-class points, where it must reduce to FIFO.
+		params.CritArb = p.critArb || critDiff.on && p.bgFrac == 0 && p.ctlFrac == 0
+		if p.ber > 0 {
+			params.LinkDropRate = p.ber / 2
+			params.LinkCorruptRate = p.ber / 2
+			params.LinkErrorSeed = 1
+		}
+		params.QuarantineThreshold = p.quarThreshold
+		params.QuarantineProbation = p.quarProbation
+		net := network.New(env.Engine(), topo, params)
+		if p.badCable > 0 {
+			net.SetLinkError(degradedFaults(topo, 1)[0], p.badCable/2, p.badCable/2)
+		}
+		scheduleFaults(net, topo, p.faults, warm)
+		return traffic.Run(net, traffic.Config{
+			Pattern: p.pattern,
+			Rate:    p.rate / 1000, // knob rates are per us; traffic wants per ns
+			Class:   network.Request,
+			Size:    network.DataPacketSize,
+			Seed:    p.seed,
+			Warmup:  warm,
+			Measure: measure,
+			BgFrac:  p.bgFrac,
+			CtlFrac: p.ctlFrac,
+		})
 	})
 }
 

@@ -89,23 +89,31 @@ type dirtyingUnit struct {
 // dirtying unit has run on that engine. Network counters, link stats,
 // reliable-link state and adaptive occupancy all live on the per-unit
 // network or machine, and Engine.Reset restores the clock and sequence
-// stream, so nothing may carry over.
+// stream, so nothing may carry over. The Env has no memo, which would
+// serve every rerun without simulating it; each rerun must execute as
+// many events on the pooled engines as the first run did.
 func checkEngineReuse(t *testing.T, units []dirtyingUnit) {
 	t.Helper()
 	base := openPoint{rate: 20, seed: 42}
 	want := base.run(nil, quickWarm, quickMeasure)
 
-	env := NewEnv()
+	env := NewEnv(nil)
 	env.BeginUnit()
 	if got := base.run(env, quickWarm, quickMeasure); !reflect.DeepEqual(got, want) {
 		t.Fatalf("pooled first run diverges from a fresh engine:\n got %+v\nwant %+v", got, want)
 	}
+	events := env.events
 	for _, u := range units {
 		t.Run(u.name, func(t *testing.T) {
 			env.BeginUnit()
 			u.run(env)
 			env.BeginUnit()
-			if got := base.run(env, quickWarm, quickMeasure); !reflect.DeepEqual(got, want) {
+			before := env.events
+			got := base.run(env, quickWarm, quickMeasure)
+			if n := env.events - before; n != events {
+				t.Fatalf("rerun after %s ran %d events on the pooled engines, want %d: it was not simulated", u.name, n, events)
+			}
+			if !reflect.DeepEqual(got, want) {
 				t.Errorf("reused engine leaked %s state:\n got %+v\nwant %+v", u.name, got, want)
 			}
 		})

@@ -61,7 +61,7 @@ func TestPartCodecRoundTripRealUnits(t *testing.T) {
 			t.Fatalf("missing spec %s", id)
 		}
 		units := spec.Units(true)
-		env := NewEnv()
+		env := NewEnv(nil)
 		env.BeginUnit()
 		part := units[0].Run(env)
 		b, err := EncodePart(part)

@@ -20,25 +20,40 @@ var quickSizes = []int64{16 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20, 32 << 
 // density for runtime without changing the experiment's structure.
 type Runner func(quick bool) *Table
 
-// Env is the per-worker reusable state threaded through Unit.Run: a pool
-// of simulation engines handed out in call order and Reset between uses,
-// so a worker chewing through a fig-sweep stops re-growing wheel buckets,
-// node pools and far-heap storage for every sweep point. A reset engine
-// behaves bit-identically to a fresh one (see sim.Engine.Reset), so
-// results do not depend on which worker ran a unit or what it ran before —
-// the property TestGoldenOutputsAcrossWorkerCounts pins.
+// Env is the per-slot reusable state threaded through Unit.Run: a pool of
+// simulation engines handed out in call order and Reset between uses, so
+// a slot chewing through a fig-sweep stops re-growing wheel buckets, node
+// pools and far-heap storage for every sweep point, and the run's Memo of
+// completed measurements. A reset engine behaves bit-identically to a
+// fresh one (see sim.Engine.Reset), and a memo hit returns exactly what
+// computing would, so results do not depend on which slot ran a unit or
+// what it ran before — the property TestGoldenOutputsAcrossWorkerCounts
+// pins.
 //
-// A nil *Env is valid and simply hands out fresh engines; the exported
-// serial entry points (Fig04DependentLoad, Fig15LoadTest, ...) use that.
+// A nil *Env is valid: it hands out fresh engines and has no memo, so
+// every measurement is simulated. The exported serial entry points
+// (Fig04DependentLoad, Fig15LoadTest, ...) use that.
 type Env struct {
 	engines []*sim.Engine
 	next    int
+	memo    *Memo
+	reused  int
+	events  uint64 // events the engines ran before scope released them
 }
 
-// NewEnv returns an empty environment. The scheduler (internal/fleet)
-// creates one per in-process slot and one per worker process;
-// Spec.Runner creates one per serial run.
-func NewEnv() *Env { return &Env{} }
+// NewEnv returns an empty environment whose units consult memo; a nil memo
+// means none. The scheduler (internal/fleet) creates one per in-process
+// slot, all sharing the run's memo, and one per worker process with a memo
+// of its own; Spec.Runner creates one per serial run.
+func NewEnv(memo *Memo) *Env { return &Env{memo: memo} }
+
+// Reused reports how many results the memo has served to units run on env.
+func (v *Env) Reused() int {
+	if v == nil {
+		return 0
+	}
+	return v.reused
+}
 
 // BeginUnit rewinds the engine cursor; callers invoke it before each
 // Unit.Run so every unit sees the same engine sequence.
@@ -50,7 +65,7 @@ func (v *Env) BeginUnit() {
 
 // Engine returns the next engine of the unit's sequence, reset to pristine
 // state. Units call it once per concurrently-live machine or network they
-// build (calls during one unit return distinct engines).
+// build (calls within one open scope return distinct engines).
 func (v *Env) Engine() *sim.Engine {
 	if v == nil {
 		return sim.NewEngine()
@@ -64,6 +79,28 @@ func (v *Env) Engine() *sim.Engine {
 	return e
 }
 
+// scope opens a measurement on env's engines and returns the call that
+// closes it: that call resets every engine handed out since, counting the
+// events they ran, and rewinds the cursor, so the unit's next measurement
+// reuses them. An engine's pending events reference the machine or network
+// built on it; resetting drops them, so that machine is garbage as soon as
+// its measurement returns rather than pinned by the slot until the engine
+// is next handed out, and a slot's live heap no longer depends on which
+// units it happened to run. Measurements use it as defer env.scope()().
+func (v *Env) scope() (release func()) {
+	if v == nil {
+		return func() {}
+	}
+	mark := v.next
+	return func() {
+		for _, e := range v.engines[mark:v.next] {
+			v.events += e.Executed()
+			e.Reset()
+		}
+		v.next = mark
+	}
+}
+
 // Part is one unit's contribution to an experiment's table: either a
 // consecutive run of rows (plus any notes the unit derived from its own
 // measurements), or — for experiments that run as a single unit — the
@@ -75,18 +112,18 @@ type Part struct {
 }
 
 // Unit is one independently runnable slice of an experiment. Each unit
-// builds its own machines and engine and shares no mutable state with its
-// siblings, so a scheduler is free to run the units of one experiment — or
-// of many — in any order and on any goroutine. Output determinism is
-// restored at assembly time: parts are merged in declared unit order, not
-// completion order.
+// builds its own machines and engine, and shares with its siblings only
+// the run's write-once memo of fully keyed results, so a scheduler is free
+// to run the units of one experiment — or of many — in any order and on
+// any goroutine. Output determinism is restored at assembly time: parts
+// are merged in declared unit order, not completion order.
 type Unit struct {
 	// Name identifies the unit in progress output, e.g. "fig4[32m]".
 	Name string
 	// Run executes the unit's simulations and returns its part of the
-	// table. It must be deterministic and share no state with sibling
-	// units; env supplies reusable per-worker engines (nil is valid and
-	// means "build fresh ones").
+	// table. It must be deterministic; env supplies reusable per-slot
+	// engines and the run's memo (nil is valid and means "build fresh
+	// ones, and simulate everything").
 	Run func(env *Env) Part
 }
 
@@ -102,28 +139,32 @@ type Spec struct {
 }
 
 // Runner flattens the spec back into a serial runner: units executed in
-// order on the calling goroutine, then assembled. Registry is built from
-// this, so serial and parallel runs share one code path per experiment.
+// order on the calling goroutine with an Env and a Memo of their own, then
+// assembled. Registry is built from this, so serial and parallel runs
+// share one code path per experiment.
 func (s Spec) Runner() Runner {
-	return func(quick bool) *Table {
-		units := s.Units(quick)
-		parts := make([]Part, len(units))
-		env := NewEnv()
-		for i, u := range units {
-			env.BeginUnit()
-			parts[i] = u.Run(env)
-		}
-		return s.Assemble(quick, parts)
-	}
+	return func(quick bool) *Table { return s.run(NewEnv(NewMemo()), quick) }
 }
 
-// whole wraps a monolithic experiment as a single-unit Spec. Monolithic
-// runners build their own machines internally, so they ignore env.
-func whole(id string, run Runner) Spec {
+// run executes the spec's units in order on env and assembles them.
+func (s Spec) run(env *Env, quick bool) *Table {
+	units := s.Units(quick)
+	parts := make([]Part, len(units))
+	for i, u := range units {
+		env.BeginUnit()
+		parts[i] = u.Run(env)
+	}
+	return s.Assemble(quick, parts)
+}
+
+// whole wraps a monolithic experiment as a single-unit Spec. The
+// experiment receives the unit's env, whose memo its keyed measurements
+// consult.
+func whole(id string, run func(env *Env, quick bool) *Table) Spec {
 	return Spec{
 		ID: id,
 		Units: func(q bool) []Unit {
-			return []Unit{{Name: id, Run: func(*Env) Part { return Part{Table: run(q)} }}}
+			return []Unit{{Name: id, Run: func(env *Env) Part { return Part{Table: run(env, q)} }}}
 		},
 		Assemble: func(_ bool, parts []Part) *Table { return parts[0].Table },
 	}
@@ -160,66 +201,66 @@ var catalog = specs()
 
 func specs() []Spec {
 	return []Spec{
-		whole("fig1", func(bool) *Table { return Fig01SPECfpRate(nil) }),
+		whole("fig1", func(*Env, bool) *Table { return Fig01SPECfpRate(nil) }),
 		fig04Spec(),
-		whole("fig5", func(q bool) *Table {
+		whole("fig5", func(env *Env, q bool) *Table {
 			if q {
-				return Fig05StrideSweep([]int64{64 << 10, 1 << 20, 4 << 20}, []int64{64, 1 << 10, 16 << 10})
+				return Fig05StrideSweep(env, []int64{64 << 10, 1 << 20, 4 << 20}, []int64{64, 1 << 10, 16 << 10})
 			}
-			return Fig05StrideSweep(nil, nil)
+			return Fig05StrideSweep(env, nil, nil)
 		}),
-		whole("fig6", func(q bool) *Table {
+		whole("fig6", func(env *Env, q bool) *Table {
 			if q {
-				return Fig06StreamScaling([]int{1, 4, 16})
+				return Fig06StreamScaling(env, []int{1, 4, 16})
 			}
-			return Fig06StreamScaling(nil)
+			return Fig06StreamScaling(env, nil)
 		}),
-		whole("fig7", func(bool) *Table { return Fig07Stream1v4() }),
-		whole("fig8", func(bool) *Table { return Fig08IPCfp() }),
-		whole("fig9", func(bool) *Table { return Fig09IPCint() }),
-		whole("fig10", func(bool) *Table { return Fig10UtilFp() }),
-		whole("fig11", func(bool) *Table { return Fig11UtilInt() }),
-		whole("fig12", func(bool) *Table { return Fig12RemoteLatency() }),
-		whole("fig13", func(bool) *Table { return Fig13LatencyMatrix() }),
+		whole("fig7", func(env *Env, _ bool) *Table { return Fig07Stream1v4(env) }),
+		whole("fig8", func(*Env, bool) *Table { return Fig08IPCfp() }),
+		whole("fig9", func(*Env, bool) *Table { return Fig09IPCint() }),
+		whole("fig10", func(*Env, bool) *Table { return Fig10UtilFp() }),
+		whole("fig11", func(*Env, bool) *Table { return Fig11UtilInt() }),
+		whole("fig12", func(*Env, bool) *Table { return Fig12RemoteLatency() }),
+		whole("fig13", func(*Env, bool) *Table { return Fig13LatencyMatrix() }),
 		fig14Spec(),
 		fig15Spec(),
-		whole("tab1", func(bool) *Table { return Tab1ShuffleAnalytic() }),
+		whole("tab1", func(*Env, bool) *Table { return Tab1ShuffleAnalytic() }),
 		fig1617Spec(),
-		whole("fig18", func(q bool) *Table {
+		whole("fig18", func(env *Env, q bool) *Table {
 			if q {
-				return Fig18ShuffleMeasured([]int{2, 8}, quickWarm, quickMeasure)
+				return Fig18ShuffleMeasured(env, []int{2, 8}, quickWarm, quickMeasure)
 			}
-			return Fig18ShuffleMeasured(nil, 0, 0)
+			return Fig18ShuffleMeasured(env, nil, 0, 0)
 		}),
-		whole("fig19", func(q bool) *Table {
+		whole("fig19", func(env *Env, q bool) *Table {
 			if q {
-				return Fig19Fluent([]int{4, 16}, quickWarm, quickMeasure)
+				return Fig19Fluent(env, []int{4, 16}, quickWarm, quickMeasure)
 			}
-			return Fig19Fluent(nil, 0, 0)
+			return Fig19Fluent(env, nil, 0, 0)
 		}),
-		whole("fig20", func(bool) *Table { return Fig20FluentUtil() }),
-		whole("fig21", func(q bool) *Table {
+		whole("fig20", func(*Env, bool) *Table { return Fig20FluentUtil() }),
+		whole("fig21", func(env *Env, q bool) *Table {
 			if q {
-				return Fig21NASSP([]int{4, 16}, quickWarm, quickMeasure)
+				return Fig21NASSP(env, []int{4, 16}, quickWarm, quickMeasure)
 			}
-			return Fig21NASSP(nil, 0, 0)
+			return Fig21NASSP(env, nil, 0, 0)
 		}),
-		whole("fig22", func(bool) *Table { return Fig22SPUtil() }),
+		whole("fig22", func(*Env, bool) *Table { return Fig22SPUtil() }),
 		fig23Spec(),
-		whole("fig24", func(bool) *Table { return Fig24GUPSUtil() }),
-		whole("fig25", func(bool) *Table { return Fig25StripingDegradation() }),
-		whole("fig26", func(q bool) *Table {
+		whole("fig24", func(*Env, bool) *Table { return Fig24GUPSUtil() }),
+		whole("fig25", func(*Env, bool) *Table { return Fig25StripingDegradation() }),
+		whole("fig26", func(_ *Env, q bool) *Table {
 			if q {
 				return Fig26HotSpotStriping([]int{2, 16}, quickWarm, quickMeasure)
 			}
 			return Fig26HotSpotStriping(nil, 0, 0)
 		}),
-		whole("fig27", func(bool) *Table { return Fig27Xmesh() }),
-		whole("fig28", func(q bool) *Table {
+		whole("fig27", func(*Env, bool) *Table { return Fig27Xmesh() }),
+		whole("fig28", func(env *Env, q bool) *Table {
 			if q {
-				return Fig28Summary(quickWarm, quickMeasure)
+				return Fig28Summary(env, quickWarm, quickMeasure)
 			}
-			return Fig28Summary(0, 0)
+			return Fig28Summary(env, 0, 0)
 		}),
 		saturUniform.spec(),
 		saturTranspose.spec(),
@@ -231,11 +272,11 @@ func specs() []Spec {
 		tailMissSpec(),
 		flakySatur.spec(),
 		flakyQuarantine.spec(),
-		whole("ablation", func(q bool) *Table {
+		whole("ablation", func(env *Env, q bool) *Table {
 			if q {
-				return AblationLoadTest([]int{4, 30}, quickWarm, quickMeasure)
+				return AblationLoadTest(env, []int{4, 30}, quickWarm, quickMeasure)
 			}
-			return AblationLoadTest(nil, 20*sim.Microsecond, 60*sim.Microsecond)
+			return AblationLoadTest(env, nil, 20*sim.Microsecond, 60*sim.Microsecond)
 		}),
 	}
 }

@@ -81,14 +81,14 @@ var fig1617Loads = []float64{10, 30}
 func fig1617Point(env *Env, pi, li int, warm, measure sim.Time) Part {
 	pat := fig1617Patterns[pi]
 	adaptive := openPoint{
-		wiring:  func() *topology.Topology { return topology.NewTorus(4, 4) },
+		wiring:  wiring{w: 4, h: 4},
 		pattern: pat.pattern,
 		rate:    fig1617Loads[li],
 		seed:    uint64(pi*7919 + li*104729 + 1),
 	}
 	escape, shuffle := adaptive, adaptive
 	escape.escape = true
-	shuffle.wiring = func() *topology.Topology { return topology.NewShuffle(4, 4) }
+	shuffle.wiring.shuffle = true
 	shuffle.policy = topology.RouteShuffle2Hop
 	row := []string{pat.name, fmt.Sprintf("%g", adaptive.rate)}
 	var mbs []string

@@ -55,7 +55,7 @@ var Fig18Outstanding = []int{1, 2, 3, 4, 6, 8, 12, 16}
 // Fig18ShuffleMeasured regenerates Fig 18: the same random-read load test
 // on the 8-CPU machine wired as a torus, as a shuffle using the chords as
 // first hop only, and as a shuffle allowing them for two hops.
-func Fig18ShuffleMeasured(outstanding []int, warm, measure sim.Time) *Table {
+func Fig18ShuffleMeasured(env *Env, outstanding []int, warm, measure sim.Time) *Table {
 	if outstanding == nil {
 		outstanding = Fig18Outstanding
 	}
@@ -80,12 +80,8 @@ func Fig18ShuffleMeasured(outstanding []int, warm, measure sim.Time) *Table {
 		{"shuffle-2hop", true, topology.RouteShuffle2Hop},
 	}
 	for _, cfg := range configs {
-		cfg := cfg
-		pts := loadTest(func() machine.Machine {
-			return newGS1280(machine.GS1280Config{
-				W: 4, H: 2, Shuffle: cfg.shuffle, Policy: cfg.policy,
-			})
-		}, outstanding, warm, measure)
+		pts := loadTest(env, gsRig(machine.GS1280Config{W: 4, H: 2, Shuffle: cfg.shuffle, Policy: cfg.policy}),
+			outstanding, warm, measure)
 		for _, p := range pts {
 			bw, lat := loadCells(p)
 			t.AddRow(cfg.name, fmt.Sprintf("%d", p.Outstanding), bw, lat)

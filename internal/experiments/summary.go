@@ -18,7 +18,7 @@ var commercialTraits = []specmodel.Benchmark{
 // summary across system components, standard benchmarks and application
 // classes. Component ratios come from the simulator, benchmark ratios
 // from the trait model, application ratios from the §5 class models.
-func Fig28Summary(warm, measure sim.Time) *Table {
+func Fig28Summary(env *Env, warm, measure sim.Time) *Table {
 	if warm == 0 {
 		warm, measure = 15*sim.Microsecond, 40*sim.Microsecond
 	}
@@ -31,16 +31,13 @@ func Fig28Summary(warm, measure sim.Time) *Table {
 	// --- System components ---
 	t.AddRow("CPU speed", f2(1.15/1.22))
 
-	gs1 := newGS1280(machine.GS1280Config{W: 2, H: 1, RegionBytes: 32 << 20})
-	old1 := machine.NewSMP(machine.GS320Config(4))
-	bw1 := triadBandwidth(gs1, 1, 8<<20, warm, measure)
-	obw1 := triadBandwidth(old1, 1, 8<<20, warm, measure)
+	triad := func(r rig, n int) float64 { return triadBandwidth(env, r, n, 8<<20, warm, measure) }
+	bw1 := triad(gsRig(machine.GS1280Config{W: 2, H: 1, RegionBytes: 32 << 20}), 1)
+	obw1 := triad(smpRig(machine.GS320Config(4)), 1)
 	t.AddRow("memory copy bw (1P)", f2(bw1/obw1))
 
-	gs32 := newGS1280(machine.GS1280Config{W: 8, H: 4, RegionBytes: 32 << 20})
-	old32 := machine.NewSMP(machine.GS320Config(32))
-	bw32 := triadBandwidth(gs32, 32, 8<<20, warm, measure)
-	obw32 := triadBandwidth(old32, 32, 8<<20, warm, measure)
+	bw32 := triad(gsRig(machine.GS1280Config{W: 8, H: 4, RegionBytes: 32 << 20}), 32)
+	obw32 := triad(smpRig(machine.GS320Config(32)), 32)
 	t.AddRow("memory copy bw (32P)", f2(bw32/obw32))
 
 	gsLat := newGS1280(machine.GS1280Config{W: 4, H: 4})
@@ -52,12 +49,8 @@ func Fig28Summary(warm, measure sim.Time) *Table {
 
 	// IP bandwidth: peak delivered in the random load test at 16
 	// outstanding per CPU.
-	ipGS := loadTest(func() machine.Machine {
-		return newGS1280(machine.GS1280Config{W: 8, H: 4})
-	}, []int{16}, warm, measure)
-	ipOld := loadTest(func() machine.Machine {
-		return machine.NewSMP(machine.GS320Config(32))
-	}, []int{16}, warm, measure)
+	ipGS := loadTest(env, gsRig(machine.GS1280Config{W: 8, H: 4}), []int{16}, warm, measure)
+	ipOld := loadTest(env, smpRig(machine.GS320Config(32)), []int{16}, warm, measure)
 	t.AddRow("Inter-Processor bandwidth (32P)", f2(ipGS[0].BandwidthMB/ipOld[0].BandwidthMB))
 
 	// I/O: each EV7 has a 3.1 GB/s full-duplex I/O port (32 ports at 32P)
@@ -76,19 +69,17 @@ func Fig28Summary(warm, measure sim.Time) *Table {
 		f2(specmodel.FPRate(gsM, 16)/specmodel.FPRate(oldM, 16)))
 
 	// --- Application classes (simulated) ---
-	gsSP := newGS1280(machine.GS1280Config{W: 4, H: 4, RegionBytes: 32 << 20})
-	oldSP := machine.NewSMP(machine.GS320Config(16))
+	app := func(r rig, n int, c appClass) float64 { return appRate(env, r, n, c, warm, measure) }
 	t.AddRow("NAS Parallel (16P)",
-		f2(appRate(gsSP, 16, spClass, warm, measure)/appRate(oldSP, 16, spClass, warm, measure)))
-
-	gsFl := newGS1280(machine.GS1280Config{W: 8, H: 4, RegionBytes: 32 << 20})
-	oldFl := machine.NewSMP(machine.GS320Config(32))
+		f2(app(gsRig(machine.GS1280Config{W: 4, H: 4, RegionBytes: 32 << 20}), 16, spClass)/
+			app(smpRig(machine.GS320Config(16)), 16, spClass)))
 	t.AddRow("Fluent (32P, CFD)",
-		f2(appRate(gsFl, 32, fluentClass, warm, measure)/appRate(oldFl, 32, fluentClass, warm, measure)))
+		f2(app(gsRig(machine.GS1280Config{W: 8, H: 4, RegionBytes: 32 << 20}), 32, fluentClass)/
+			app(smpRig(machine.GS320Config(32)), 32, fluentClass)))
 
-	gsG := newGS1280(machine.GS1280Config{W: 8, H: 4, RegionBytes: 16 << 20})
-	oldG := machine.NewSMP(machine.GS320Config(32))
-	t.AddRow("GUPS (32P)", f2(gupsRate(gsG, 32, warm, measure)/gupsRate(oldG, 32, warm, measure)))
+	gups := func(r rig) float64 { return gupsRate(env, r, 32, warm, measure) }
+	t.AddRow("GUPS (32P)", f2(gups(gsRig(machine.GS1280Config{W: 8, H: 4, RegionBytes: 16 << 20}))/
+		gups(smpRig(machine.GS320Config(32)))))
 
 	swim, _ := specmodel.ByName("swim")
 	t.AddRow("swim (32P rate)",

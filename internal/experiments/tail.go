@@ -100,6 +100,7 @@ var tailMissCounts = []int{16, 32}
 // view where prioritizing demand misses over victim writebacks is supposed
 // to pay off.
 func tailMissPoint(env *Env, n int, v tailVariant, warm, measure sim.Time) Part {
+	defer env.scope()() // the machine is dead once the point returns
 	w, h := machine.StandardShape(n)
 	m := newGS1280(machine.GS1280Config{
 		W: w, H: h, RegionBytes: 16 << 20, CritArb: v.critArb, Eng: env.Engine(),

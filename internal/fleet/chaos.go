@@ -189,7 +189,7 @@ func (w *chaosWorker) draw() fate {
 }
 
 func (w *chaosWorker) loop() {
-	env := experiments.NewEnv()
+	env := experiments.NewEnv(experiments.NewMemo()) // a worker process's own memo
 	t := w.transport
 	for {
 		var req Request

@@ -152,7 +152,8 @@ type coord struct {
 // Result.Err without aborting the rest of the suite.
 //
 // With a nil Transport each slot runs units in-process on its own
-// goroutine, reusing one experiments.Env. There is no deadline and no
+// goroutine, reusing one experiments.Env; the slots share one
+// experiments.Memo, created per call. There is no deadline and no
 // retry: a running unit cannot be killed, and it is deterministic, so a
 // panic — the only in-process failure — is that experiment's Err.
 //
@@ -332,13 +333,16 @@ func Run(ctx context.Context, ids []string, opts Options) ([]Result, error) {
 			}()
 		}
 
+		// The run's memo: in-process slots share it, so a measurement one
+		// unit completed is served to every later unit that keys it.
+		memo := experiments.NewMemo()
 		var wg sync.WaitGroup
 		for slot := 0; slot < opts.Workers; slot++ {
 			wg.Add(1)
 			go func(slot int) {
 				defer wg.Done()
 				if opts.Transport == nil {
-					c.runLocal(ctx)
+					c.runLocal(ctx, memo)
 				} else {
 					c.runSlot(ctx, slot)
 				}
@@ -462,11 +466,12 @@ func (c *coord) runSlot(ctx context.Context, slot int) {
 }
 
 // runLocal is an in-process slot: it runs each claimed unit itself,
-// reusing one Env across them. It has no deadline, because a running
-// unit cannot be killed — and units are deterministic, so a retry of a
-// hung unit would hang the same way. A panic is contained and permanent.
-func (c *coord) runLocal(ctx context.Context) {
-	env := experiments.NewEnv()
+// reusing one Env, on the run's memo, across them. It has no deadline,
+// because a running unit cannot be killed — and units are deterministic,
+// so a retry of a hung unit would hang the same way. A panic is contained
+// and permanent.
+func (c *coord) runLocal(ctx context.Context, memo *experiments.Memo) {
+	env := experiments.NewEnv(memo)
 	for {
 		j, ok := c.next(ctx)
 		if !ok {

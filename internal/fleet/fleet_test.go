@@ -430,3 +430,41 @@ func TestFleetElapsedEndsAtLastUnit(t *testing.T) {
 		}
 	}
 }
+
+// TestFleetMemoIsRunScoped runs satur-uniform and degraded-satur twice in
+// one process on one slot, counting the memoized results each unit was
+// served. Each run has a memo of its own: satur-uniform's units simulate
+// every point, and degraded-satur's six zero-fault points reuse them. A
+// memo that outlived its run would serve satur-uniform's second run too.
+func TestFleetMemoIsRunScoped(t *testing.T) {
+	ids := []string{"satur-uniform", "degraded-satur"}
+	var reused map[string]int
+	lookup := func(id string) (experiments.Spec, bool) {
+		spec, ok := experiments.SpecByID(id)
+		inner := spec.Units
+		spec.Units = func(q bool) []experiments.Unit {
+			units := inner(q)
+			for i := range units {
+				run := units[i].Run
+				units[i].Run = func(env *experiments.Env) experiments.Part {
+					before := env.Reused()
+					defer func() { reused[id] += env.Reused() - before }()
+					return run(env)
+				}
+			}
+			return units
+		}
+		return spec, ok
+	}
+	for run := 1; run <= 2; run++ {
+		reused = map[string]int{}
+		results, err := Run(context.Background(), ids, Options{Workers: 1, Quick: true, Lookup: lookup})
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		compareGoldens(t, results, fmt.Sprintf("run %d", run))
+		if reused["satur-uniform"] != 0 || reused["degraded-satur"] != 6 {
+			t.Errorf("run %d reused %v, want satur-uniform 0 and degraded-satur 6", run, reused)
+		}
+	}
+}

@@ -10,7 +10,8 @@ import (
 // reading Requests from r and writing Responses to w until the
 // coordinator closes the request stream (clean io.EOF) or a frame is
 // unreadable. One experiments.Env is reused across the worker's units —
-// the same engine pooling an in-process slot gets.
+// the same engine pooling an in-process slot gets — with a memo of the
+// worker's own.
 //
 // Unit panics are contained by executeUnit and reported in-band as
 // Response.Err; only transport-level failures (unreadable stdin,
@@ -18,7 +19,7 @@ import (
 // process should exit nonzero and let the coordinator respawn it.
 func WorkerMain(r io.Reader, w io.Writer, lookup Lookup) error {
 	lookup = orRegistry(lookup)
-	env := experiments.NewEnv()
+	env := experiments.NewEnv(experiments.NewMemo())
 	for {
 		var req Request
 		if err := ReadFrame(r, &req); err != nil {

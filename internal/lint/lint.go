@@ -58,7 +58,8 @@ func (p *Pass) Reportf(pos token.Pos, directive string, format string, args ...a
 
 // Suppression directives. A finding on line N is waived by a
 // `//lint:<directive> <reason>` comment either trailing line N or alone on
-// line N-1. The reason is mandatory: a bare directive does not suppress,
+// line N-1; a trailing directive does not also waive a finding on the line
+// below it. The reason is mandatory: a bare directive does not suppress,
 // so every waiver in the tree carries its justification.
 const (
 	DirUnorderedOK = "unordered-ok" // detflow: iteration order provably irrelevant
@@ -72,10 +73,11 @@ const (
 )
 
 // suppression is one parsed //lint: directive. A directive covers its own
-// line (trailing-comment form) and the line below it (preceding-comment
-// form).
+// line, and when it stands alone on that line (preceding-comment form) the
+// line below it too.
 type suppression struct {
 	line      int
+	alone     bool
 	directive string
 	reason    string
 }
@@ -87,7 +89,7 @@ func (p *Pass) suppressedAt(pos token.Position, directive string) bool {
 		if s.directive != directive || s.reason == "" {
 			continue
 		}
-		if s.line == pos.Line || s.line == pos.Line-1 {
+		if s.line == pos.Line || s.alone && s.line == pos.Line-1 {
 			return true
 		}
 	}
@@ -111,7 +113,34 @@ func collectSuppressions(fset *token.FileSet, f *ast.File) []suppression {
 			})
 		}
 	}
+	if len(out) > 0 {
+		code := codeLines(fset, f)
+		for i := range out {
+			out[i].alone = !code[out[i].line]
+		}
+	}
 	return out
+}
+
+// codeLines reports the lines of f that hold code, from the positions of
+// its syntax nodes: a line with code on it begins or ends some node. A
+// line comment runs to the end of its line, so a directive on a line
+// without code stands alone.
+func codeLines(fset *token.FileSet, f *ast.File) map[int]bool {
+	lines := make(map[int]bool)
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n.(type) {
+		case nil, *ast.CommentGroup, *ast.Comment:
+			return false
+		}
+		for _, p := range [2]token.Pos{n.Pos(), n.End()} {
+			if p.IsValid() {
+				lines[fset.Position(p).Line] = true
+			}
+		}
+		return true
+	})
+	return lines
 }
 
 // DeterministicPackages names the packages whose simulated state must be

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/parser"
 	"go/token"
 	"strings"
@@ -47,6 +48,8 @@ func f() {
 	_ = 3
 	//lint:alloc-ok
 	_ = 4
+	_ = 5 //lint:pool-ok waives this line's finding
+	_ = 6
 }
 `
 
@@ -66,6 +69,14 @@ func TestSuppressionForms(t *testing.T) {
 	if covered(t, suppSrc, 4, DirWallclockOK) {
 		t.Error("directives must not cross-suppress")
 	}
+	// A trailing directive justifies its own line's finding only: a
+	// second finding of the same kind on the next line needs its own.
+	if !covered(t, suppSrc, 11, DirPoolOK) {
+		t.Error("trailing directive must cover its own line")
+	}
+	if covered(t, suppSrc, 12, DirPoolOK) {
+		t.Error("a trailing directive must not waive the violation on the next line")
+	}
 }
 
 func TestSuppressionReasonMandatory(t *testing.T) {
@@ -80,8 +91,8 @@ func TestSuppressionReasonMandatory(t *testing.T) {
 }
 
 func TestSuppressionLastLine(t *testing.T) {
-	// A preceding-form directive on the file's last code line points past
-	// EOF; it must parse cleanly and simply cover nothing.
+	// A trailing directive on the file's last line must parse cleanly and
+	// cover that line only, not the line past EOF.
 	src := "package s\n\nvar x = 1 //lint:unordered-ok last line, trailing\n"
 	supps := parseSuppressions(t, src)
 	if len(supps) != 1 || supps[0].line != 3 || supps[0].reason == "" {
@@ -91,9 +102,7 @@ func TestSuppressionLastLine(t *testing.T) {
 		t.Error("last-line trailing directive must cover its line")
 	}
 	if covered(t, src, 4, DirUnorderedOK) {
-		// Line 4 is past EOF; coverage there is harmless but asserting it
-		// documents the two-line window explicitly.
-		t.Log("directive also covers the (nonexistent) next line by design")
+		t.Error("a trailing directive must not cover the line below it")
 	}
 }
 
@@ -148,5 +157,81 @@ func f() {
 `
 	if covered(t, src, 6, DirUnorderedOK) {
 		t.Error("a directive separated from the code by another comment line must not cover it")
+	}
+}
+
+// suppressionLayouts place one directive (the %s) in a file, trailing code
+// in several syntactic positions or alone on its line.
+var suppressionLayouts = []struct {
+	src   string
+	alone bool
+}{
+	{"package s\n\nfunc f() {\n\t_ = 1 %s\n\t_ = 2\n}\n", false},
+	{"package s\n\nfunc f() {\n\tif true { %s\n\t\t_ = 2\n\t}\n}\n", false},
+	{"package s\n\nfunc f() {\n\tg(1, %s\n\t\t2)\n}\n\nfunc g(int, int) {}\n", false},
+	{"package s\n\nfunc f() {\n\tswitch {\n\tcase true: %s\n\t\t_ = 2\n\t}\n}\n", false},
+	{"package s\n\nfunc f() {\n\tx := 1 + %s\n\t\t2\n\t_ = x\n}\n", false},
+	{"package s\n\nvar x = []int{ %s\n\t2,\n}\n", false},
+	{"package s\n\ntype T struct { %s\n\tA int\n}\n", false},
+	{"package s\n\nvar ( %s\n\ta = 1\n)\n", false},
+	{"package s\n\nfunc f() {\n\tg(func() {\n\t}) %s\n\t_ = 2\n}\n\nfunc g(func()) {}\n", false},
+	{"package s %s\n\nvar x = 1\n", false},
+	{"package s\n\nfunc f() {\n\t%s\n\t_ = 2\n}\n", true},
+	{"package s\n\n%s\nvar x = 1\n", true},
+	{"package s\n\nvar x = []int{\n\t%s\n\t2,\n}\n", true},
+	{"package s\n\nfunc f() {\n\t_ = 1 /* c */\n\t%s\n\t_ = 2\n}\n", true},
+}
+
+// FuzzSuppressions places one //lint: directive with a fuzzed name and
+// reason in one of suppressionLayouts and checks the scanner against the
+// documented rule: no input panics; the reason is the trimmed text after
+// the directive name; a directive without a reason never suppresses; and
+// a directive covers its own line, plus the next line only when it stands
+// alone. Its seed corpus lives in testdata/fuzz.
+func FuzzSuppressions(f *testing.F) {
+	f.Fuzz(func(t *testing.T, layout uint8, name, reason string) {
+		if strings.ContainsAny(name, " \r\n") || strings.ContainsAny(reason, "\r\n") {
+			return // not one directive with this name: a space ends the name, a line end the comment
+		}
+		l := suppressionLayouts[int(layout)%len(suppressionLayouts)]
+		src := fmt.Sprintf(l.src, "//lint:"+name+" "+reason)
+		prog := NewProgram()
+		file, err := parser.ParseFile(prog.Fset, "supp.go", src, parser.ParseComments)
+		if err != nil {
+			return // not Go source, e.g. a NUL byte or invalid UTF-8 in the comment
+		}
+		supps := collectSuppressions(prog.Fset, file)
+		if len(supps) != 1 {
+			t.Fatalf("%d directives in %q, want 1: %+v", len(supps), src, supps)
+		}
+		s := supps[0]
+		if s.directive != name || s.reason != strings.TrimSpace(reason) {
+			t.Fatalf("directive %q reason %q from %q, want %q and %q",
+				s.directive, s.reason, src, name, strings.TrimSpace(reason))
+		}
+		if s.alone != l.alone {
+			t.Fatalf("alone = %t for %q", s.alone, src)
+		}
+		prog.files["supp.go"] = file
+		p := &Pass{Analyzer: DetFlow, Prog: prog, Fset: prog.Fset}
+		for line := s.line - 1; line <= s.line+2; line++ {
+			want := s.reason != "" && (line == s.line || l.alone && line == s.line+1)
+			if got := p.suppressedAt(token.Position{Filename: "supp.go", Line: line}, name); got != want {
+				t.Errorf("line %d covered = %t, want %t, directive on line %d of %q",
+					line, got, want, s.line, src)
+			}
+		}
+	})
+}
+
+// TestSuppressionLayoutsParse keeps every fuzz layout valid Go with its
+// directive where the layout says, so FuzzSuppressions never skips one.
+func TestSuppressionLayoutsParse(t *testing.T) {
+	for i, l := range suppressionLayouts {
+		src := fmt.Sprintf(l.src, "//lint:unordered-ok layout")
+		supps := parseSuppressions(t, src)
+		if len(supps) != 1 || supps[0].alone != l.alone || supps[0].reason != "layout" {
+			t.Errorf("layout %d: %+v from %q", i, supps, src)
+		}
 	}
 }
