@@ -20,12 +20,10 @@ import (
 //
 // It is not a paper artifact but an engineering companion: it shows how
 // much of the GS1280's load resilience each mechanism buys.
-func AblationLoadTest(env *Env, outstanding []int, warm, measure sim.Time) *Table {
-	if outstanding == nil {
-		outstanding = []int{4, 16, 30}
-	}
-	if warm == 0 {
-		warm, measure = quickWarm, quickMeasure
+func AblationLoadTest(env *Env, quick bool) *Table {
+	outstanding, warm, measure := []int{4, 16, 30}, 20*sim.Microsecond, 60*sim.Microsecond
+	if quick {
+		outstanding, warm, measure = []int{4, 30}, quickWarm, quickMeasure
 	}
 	t := &Table{
 		ID:     "ablation",

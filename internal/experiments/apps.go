@@ -105,9 +105,10 @@ var appCounts = []int{4, 8, 16, 32}
 
 // appTable builds a Fig 19/21-style scaling comparison for class c.
 // The rating is aggregate op throughput scaled by unit.
-func appTable(env *Env, id, title, unitName string, c appClass, unit float64, counts []int, warm, measure sim.Time) *Table {
-	if counts == nil {
-		counts = appCounts
+func appTable(env *Env, id, title, unitName string, c appClass, unit float64, quick bool) *Table {
+	counts, warm, measure := appCounts, 20*sim.Microsecond, 80*sim.Microsecond
+	if quick {
+		counts, warm, measure = []int{4, 16}, quickWarm, quickMeasure
 	}
 	t := &Table{
 		ID:     id,
@@ -153,12 +154,9 @@ func min4(n int) int {
 // paper's finding: GS1280 comparable to SC45 (the application is
 // CPU-bound and the 16 MB cache helps the older machines), both well
 // above GS320.
-func Fig19Fluent(env *Env, counts []int, warm, measure sim.Time) *Table {
-	if warm == 0 {
-		warm, measure = 20*sim.Microsecond, 80*sim.Microsecond
-	}
+func Fig19Fluent(env *Env, quick bool) *Table {
 	t := appTable(env, "fig19", "Fluent (CFD, large case) rating vs CPUs", "rating",
-		fluentClass, 1e6, counts, warm, measure)
+		fluentClass, 1e6, quick)
 	t.AddNote("paper: GS1280 ~ SC45 (CPU-bound; 16MB cache helps blocked CFD); both >> GS320")
 	return t
 }
@@ -172,12 +170,9 @@ func Fig20FluentUtil() *Table {
 
 // Fig21NASSP regenerates Fig 21: NAS Parallel SP scaling, the
 // memory-bandwidth-bound class where GS1280's private Zboxes dominate.
-func Fig21NASSP(env *Env, counts []int, warm, measure sim.Time) *Table {
-	if warm == 0 {
-		warm, measure = 20*sim.Microsecond, 80*sim.Microsecond
-	}
+func Fig21NASSP(env *Env, quick bool) *Table {
 	t := appTable(env, "fig21", "NAS Parallel SP (class C) MOPS vs CPUs", "MOPS",
-		spClass, 1e6, counts, warm, measure)
+		spClass, 1e6, quick)
 	t.AddNote("paper: GS1280 >> SC45 > GS320, driven by memory bandwidth (Figs 6/7)")
 	return t
 }
@@ -217,24 +212,6 @@ func utilTable(id, title string, c appClass, note string) *Table {
 // Fig23CPUCounts is the GUPS sweep.
 var Fig23CPUCounts = []int{4, 8, 16, 32, 64}
 
-// Fig23GUPS regenerates Fig 23: GUPS updates/second. The random table
-// spans all memory, so the experiment is bound by IP-link cross-section;
-// the paper's bend at 32 CPUs appears because the 16P (4x4) and 32P (8x4)
-// tori share the same bisection width.
-func Fig23GUPS(counts []int, warm, measure sim.Time) *Table {
-	if counts == nil {
-		counts = Fig23CPUCounts
-	}
-	if warm == 0 {
-		warm, measure = 20*sim.Microsecond, 80*sim.Microsecond
-	}
-	parts := make([]Part, len(counts))
-	for i, n := range counts {
-		parts[i] = fig23Row(nil, n, warm, measure)
-	}
-	return fig23Assemble(parts)
-}
-
 // fig23Row measures GUPS at one machine size on all three machines — one
 // row of Fig 23, independently runnable on env's reusable engines.
 func fig23Row(env *Env, n int, warm, measure sim.Time) Part {
@@ -252,18 +229,10 @@ func fig23Row(env *Env, n int, warm, measure sim.Time) Part {
 	return Part{Rows: [][]string{{fmt.Sprintf("%d", n), f1(gsRate), old, es}}}
 }
 
-func fig23Assemble(parts []Part) *Table {
-	t := assemble(&Table{
-		ID:     "fig23",
-		Title:  "GUPS (Mupdates/s) vs CPUs",
-		Header: []string{"CPUs", "GS1280", "GS320", "ES45"},
-	}, parts)
-	t.AddNote("paper: GS1280 reaches ~1000 Mup/s at 64P with a bend at 32 (flat cross-section 16->32);")
-	t.AddNote("GS320/ES45 stay an order of magnitude lower")
-	return t
-}
-
-// fig23Spec exposes the GUPS sweep as one unit per machine size.
+// fig23Spec regenerates Fig 23: GUPS updates/second, one unit per machine
+// size. The random table spans all memory, so the experiment is bound by
+// IP-link cross-section; the paper's bend at 32 CPUs appears because the
+// 16P (4x4) and 32P (8x4) tori share the same bisection width.
 func fig23Spec() Spec {
 	plan := func(q bool) ([]int, sim.Time, sim.Time) {
 		if q {
@@ -279,7 +248,16 @@ func fig23Spec() Spec {
 				func(n int) string { return fmt.Sprintf("fig23[%dP]", n) },
 				func(env *Env, n int) Part { return fig23Row(env, n, warm, measure) })
 		},
-		Assemble: func(_ bool, parts []Part) *Table { return fig23Assemble(parts) },
+		Assemble: func(_ bool, parts []Part) *Table {
+			t := assemble(&Table{
+				ID:     "fig23",
+				Title:  "GUPS (Mupdates/s) vs CPUs",
+				Header: []string{"CPUs", "GS1280", "GS320", "ES45"},
+			}, parts)
+			t.AddNote("paper: GS1280 reaches ~1000 Mup/s at 64P with a bend at 32 (flat cross-section 16->32);")
+			t.AddNote("GS320/ES45 stay an order of magnitude lower")
+			return t
+		},
 	}
 }
 

@@ -202,6 +202,3 @@ func degradedMapSpec() Spec {
 		},
 	}
 }
-
-// DegradedIDs lists the degraded-fabric experiments.
-func DegradedIDs() []string { return []string{"degraded-satur", "degraded-map"} }

@@ -12,28 +12,28 @@ import (
 // the sweep as a whole shows the detour tax — non-minimal hops — while
 // staying below the healthy adaptive knee throughput.
 func TestDegradedSaturSingleFaultFinite(t *testing.T) {
-	tab, err := Run("degraded-satur", true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "degraded-satur")
+	routing, faults := column(t, tab, "routing"), column(t, tab, "failed cables")
+	bwCol, latCol, accCol := column(t, tab, "delivered MB/s"), column(t, tab, "avg latency ns"), column(t, tab, "accepted %")
+	reroutesCol, nonMinimalCol := column(t, tab, "reroutes"), column(t, tab, "non-minimal hops")
 	var nonMinimal, reroutes float64
 	healthyPeak, faultPeak := 0.0, 0.0
 	for _, r := range tab.Rows {
-		if r[0] == "adaptive" && r[1] == "0" {
-			if bw := parse(t, r[3]); bw > healthyPeak {
+		if r[routing] == "adaptive" && r[faults] == "0" {
+			if bw := parse(t, r[bwCol]); bw > healthyPeak {
 				healthyPeak = bw
 			}
 		}
-		if r[1] != "1" {
+		if r[faults] != "1" {
 			continue
 		}
-		bw, lat, acc := parse(t, r[3]), parse(t, r[4]), parse(t, r[5])
+		bw, lat, acc := parse(t, r[bwCol]), parse(t, r[latCol]), parse(t, r[accCol])
 		if bw <= 0 || lat <= 0 || acc <= 0 {
 			t.Errorf("1-fault row %v drained or stalled", r)
 		}
-		nonMinimal += parse(t, r[9+1])
-		reroutes += parse(t, r[9])
-		if r[0] == "adaptive" {
+		nonMinimal += parse(t, r[nonMinimalCol])
+		reroutes += parse(t, r[reroutesCol])
+		if r[routing] == "adaptive" {
 			if bw > faultPeak {
 				faultPeak = bw
 			}
@@ -55,22 +55,19 @@ func TestDegradedSaturSingleFaultFinite(t *testing.T) {
 // an 8x8 torus), the degraded averages are at least the healthy average,
 // and the shuffle wiring's sparser rings render as "-" rather than lying.
 func TestDegradedMapShape(t *testing.T) {
-	tab, err := Run("degraded-map", true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "degraded-map")
 	if len(tab.Rows) != degradedMapMaxDist+1 {
 		t.Fatalf("map has %d rows, want %d rings + average", len(tab.Rows), degradedMapMaxDist+1)
 	}
+	torus := []string{"torus", "torus-1f", "torus-2f"}
 	for _, r := range tab.Rows {
-		for col := 1; col <= 3; col++ { // torus, torus-1f, torus-2f
-			if v := parse(t, r[col]); v <= 0 {
-				t.Errorf("torus cell %s/%s not a positive latency", r[0], tab.Header[col])
+		for _, name := range torus {
+			if v := parse(t, r[column(t, tab, name)]); v <= 0 {
+				t.Errorf("torus cell %s/%s not a positive latency", r[0], name)
 			}
 		}
 	}
-	avg := tab.Rows[degradedMapMaxDist]
-	healthy, oneFault, twoFault := parse(t, avg[1]), parse(t, avg[2]), parse(t, avg[3])
+	healthy, oneFault, twoFault := cell(t, tab, torus[0], "average"), cell(t, tab, torus[1], "average"), cell(t, tab, torus[2], "average")
 	if oneFault < healthy || twoFault < oneFault {
 		t.Errorf("average latency not monotone in faults: %v / %v / %v", healthy, oneFault, twoFault)
 	}

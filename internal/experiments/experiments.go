@@ -6,7 +6,7 @@
 // Experiments are declared as Specs: a list of independent Units (whole
 // experiments, or individual sweep points for the sweep-style figures)
 // plus an Assemble step that merges unit outputs in declared order. The
-// serial entry points (Run, Registry) execute units in order on one
+// serial entry points (Run, Spec.Run) execute units in order on one
 // goroutine; the scheduler (internal/fleet, behind internal/runner) fans
 // the same units across many. Because
 // every unit builds its own machines, engine and seeded RNGs, both paths

@@ -1,39 +1,76 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/csv"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
-
-	"gs1280/internal/sim"
 )
 
-// cell parses a numeric table cell.
-func cell(t *testing.T, tab *Table, row, col int) float64 {
-	t.Helper()
-	if row >= len(tab.Rows) || col >= len(tab.Rows[row]) {
-		t.Fatalf("%s: no cell (%d,%d)", tab.ID, row, col)
-	}
-	v, err := strconv.ParseFloat(tab.Rows[row][col], 64)
-	if err != nil {
-		t.Fatalf("%s: cell (%d,%d) = %q not numeric", tab.ID, row, col, tab.Rows[row][col])
-	}
-	return v
+// The paper-shape tests check the paper's claims against the quick tables
+// TestRegistryAllQuick pins byte for byte, read back from those fixtures,
+// so each table is simulated once per test run. They run before
+// TestRegistryAllQuick: after rewriting the fixtures with -update, run the
+// package again.
+
+// fixturePath is the committed quick table of experiment id.
+func fixturePath(id string) string {
+	return filepath.Join("..", "runner", "testdata", id+".quick.csv")
 }
 
-// findRow locates the first row whose first cell equals key.
-func findRow(t *testing.T, tab *Table, key string) []string {
+// quickTable reads experiment id's pinned quick table. It fails unless
+// Table.CSV renders the parsed table back to the file byte for byte, so a
+// parse slip cannot hide a cell from a shape test.
+func quickTable(t *testing.T, id string) *Table {
+	t.Helper()
+	fixture := fixturePath(id)
+	data, err := os.ReadFile(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records, err := csv.NewReader(bytes.NewReader(data)).ReadAll()
+	if err != nil || len(records) == 0 {
+		t.Fatalf("%s: %d records, %v", fixture, len(records), err)
+	}
+	tab := &Table{ID: id, Header: records[0], Rows: records[1:]}
+	if got := tab.CSV(); got != string(data) {
+		t.Fatalf("%s does not round-trip through Table.CSV:\ngot:\n%s\nwant:\n%s", fixture, got, data)
+	}
+	return tab
+}
+
+// column returns the index of tab's column headed name.
+func column(t *testing.T, tab *Table, name string) int {
+	t.Helper()
+	i := slices.Index(tab.Header, name)
+	if i < 0 {
+		t.Fatalf("%s: no column %q in %q", tab.ID, name, tab.Header)
+	}
+	return i
+}
+
+// findRow locates the first row whose leading cells are keys.
+func findRow(t *testing.T, tab *Table, keys ...string) []string {
 	t.Helper()
 	for _, r := range tab.Rows {
-		if r[0] == key {
+		if len(r) >= len(keys) && slices.Equal(r[:len(keys)], keys) {
 			return r
 		}
 	}
-	t.Fatalf("%s: no row %q", tab.ID, key)
+	t.Fatalf("%s: no row %q", tab.ID, keys)
 	return nil
+}
+
+// cell parses the numeric cell in column name of the row keys locates.
+func cell(t *testing.T, tab *Table, name string, keys ...string) float64 {
+	t.Helper()
+	return parse(t, findRow(t, tab, keys...)[column(t, tab, name)])
 }
 
 func parse(t *testing.T, s string) float64 {
@@ -46,33 +83,34 @@ func parse(t *testing.T, s string) float64 {
 }
 
 func TestFig04Shape(t *testing.T) {
-	tab := Fig04DependentLoad([]int64{16 << 10, 256 << 10, 4 << 20, 32 << 20})
+	tab := quickTable(t, "fig4")
+	const gsCol, esCol, oldCol = "GS1280/1.15GHz", "ES45/1.25GHz", "GS320/1.22GHz"
 	// 16KB: all machines in L1 (a few ns).
-	for c := 1; c <= 3; c++ {
-		if v := cell(t, tab, 0, c); v > 5 {
-			t.Errorf("16KB latency col %d = %v, want L1", c, v)
+	for _, c := range []string{gsCol, esCol, oldCol} {
+		if v := cell(t, tab, c, "16k"); v > 5 {
+			t.Errorf("16KB latency %s = %v, want L1", c, v)
 		}
 	}
 	// 256KB: GS1280 on-chip L2 (~10ns) beats off-chip caches (~45-55ns).
-	if gs, es := cell(t, tab, 1, 1), cell(t, tab, 1, 2); gs >= es {
+	if gs, es := cell(t, tab, gsCol, "256k"), cell(t, tab, esCol, "256k"); gs >= es {
 		t.Errorf("256KB: GS1280 %v not faster than ES45 %v", gs, es)
 	}
 	// 4MB: the paper's crossover — GS1280 goes to memory, the 16MB caches
 	// still hit, so GS1280 is SLOWER here.
-	if gs, es := cell(t, tab, 2, 1), cell(t, tab, 2, 2); gs <= es {
+	if gs, es := cell(t, tab, gsCol, "4m"), cell(t, tab, esCol, "4m"); gs <= es {
 		t.Errorf("4MB: GS1280 %v should lose to ES45 %v (16MB cache)", gs, es)
 	}
 	// 32MB: everyone in memory; GS1280 ~3.8x faster than GS320.
-	gs, old := cell(t, tab, 3, 1), cell(t, tab, 3, 3)
+	gs, old := cell(t, tab, gsCol, "32m"), cell(t, tab, oldCol, "32m")
 	if r := old / gs; r < 3.0 || r > 5.0 {
 		t.Errorf("32MB GS320/GS1280 = %.1f, paper 3.8", r)
 	}
 }
 
 func TestFig05OpenVsClosedPage(t *testing.T) {
-	tab := Fig05StrideSweep(nil, []int64{4 << 20}, []int64{64, 16 << 10})
-	open := cell(t, tab, 0, 1)
-	closed := cell(t, tab, 0, 2)
+	tab := quickTable(t, "fig5")
+	open := cell(t, tab, "s=64", "4m")
+	closed := cell(t, tab, "s=16k", "4m")
 	if open < 80 || open > 95 {
 		t.Errorf("64B-stride memory latency = %v, want ~83-90 (open page)", open)
 	}
@@ -82,12 +120,12 @@ func TestFig05OpenVsClosedPage(t *testing.T) {
 }
 
 func TestFig06LinearVsSaturating(t *testing.T) {
-	tab := Fig06StreamScaling(nil, []int{4, 16})
-	gs4, gs16 := cell(t, tab, 0, 1), cell(t, tab, 1, 1)
+	tab := quickTable(t, "fig6")
+	gs4, gs16 := cell(t, tab, "GS1280", "4"), cell(t, tab, "GS1280", "16")
 	if r := gs16 / gs4; r < 3.4 {
 		t.Errorf("GS1280 triad 16/4 CPUs = %.2f, want ~4 (linear)", r)
 	}
-	old4, old16 := cell(t, tab, 0, 3), cell(t, tab, 1, 3)
+	old4, old16 := cell(t, tab, "GS320", "4"), cell(t, tab, "GS320", "16")
 	if r := old16 / old4; r > 4.2 {
 		t.Errorf("GS320 triad 16/4 = %.2f, should saturate per QBB", r)
 	}
@@ -97,15 +135,13 @@ func TestFig06LinearVsSaturating(t *testing.T) {
 }
 
 func TestFig12Ratios(t *testing.T) {
-	tab := Fig12RemoteLatency()
-	avg := findRow(t, tab, "average")
-	gs, old := parse(t, avg[1]), parse(t, avg[2])
+	tab := quickTable(t, "fig12")
+	gs, old := cell(t, tab, "GS1280", "average"), cell(t, tab, "GS320", "average")
 	if r := old / gs; r < 3.0 || r > 5.0 {
 		t.Errorf("16P average latency ratio = %.2f, paper 4x", r)
 	}
 	// Local row ~83ns.
-	local := findRow(t, tab, "0 -> 0")
-	if v := parse(t, local[1]); v < 80 || v > 90 {
+	if v := cell(t, tab, "GS1280", "0 -> 0"); v < 80 || v > 90 {
 		t.Errorf("GS1280 local = %v, want ~83", v)
 	}
 }
@@ -117,10 +153,10 @@ func TestFig13MatrixMatchesPaper(t *testing.T) {
 		{181, 221, 259, 222},
 		{154, 191, 235, 195},
 	}
-	tab := Fig13LatencyMatrix()
+	tab := quickTable(t, "fig13")
 	for y := 0; y < 4; y++ {
 		for x := 0; x < 4; x++ {
-			got := cell(t, tab, y, x+1)
+			got := cell(t, tab, fmt.Sprintf("x=%d", x), fmt.Sprintf("y=%d", y))
 			want := paper[y][x]
 			if got < want*0.95 || got > want*1.05 {
 				t.Errorf("matrix[%d][%d] = %v, paper %v (>5%% off)", y, x, got, want)
@@ -130,33 +166,36 @@ func TestFig13MatrixMatchesPaper(t *testing.T) {
 }
 
 func TestFig14LatencyGrowsSlowly(t *testing.T) {
-	tab := Fig14AvgLatency([]int{4, 16, 64})
-	gs4 := cell(t, tab, 0, 1)
-	gs64 := cell(t, tab, 2, 1)
+	tab := quickTable(t, "fig14")
+	gs4 := cell(t, tab, "GS1280", "4")
+	gs64 := cell(t, tab, "GS1280", "64")
 	if gs64 < gs4 {
 		t.Error("average latency should grow with machine size")
 	}
 	if gs64 > 320 {
 		t.Errorf("GS1280 64P average = %v, paper keeps it under ~300ns", gs64)
 	}
-	old16 := parse(t, findRow(t, tab, "16")[2])
-	gs16 := cell(t, tab, 1, 1)
+	old16 := cell(t, tab, "GS320", "16")
+	gs16 := cell(t, tab, "GS1280", "16")
 	if old16 < 2.5*gs16 {
 		t.Errorf("GS320 16P %v not >> GS1280 %v", old16, gs16)
 	}
 }
 
+// TestFig15GS1280OutclassesGS320 compares the 16P curves' peaks over every
+// load the quick sweep runs.
 func TestFig15GS1280OutclassesGS320(t *testing.T) {
-	tab := Fig15LoadTest([]int{1, 16}, quickWarm, quickMeasure)
+	tab := quickTable(t, "fig15")
+	cfg, bwCol, latCol := column(t, tab, "config"), column(t, tab, "bandwidth MB/s"), column(t, tab, "latency ns")
 	var gsBest, oldBest, gsLat, oldLat float64
 	for _, r := range tab.Rows {
-		bw, lat := parse(t, r[2]), parse(t, r[3])
-		switch {
-		case strings.HasPrefix(r[0], "GS1280/16P"):
+		bw, lat := parse(t, r[bwCol]), parse(t, r[latCol])
+		switch r[cfg] {
+		case "GS1280/16P":
 			if bw > gsBest {
 				gsBest, gsLat = bw, lat
 			}
-		case strings.HasPrefix(r[0], "GS320/16P"):
+		case "GS320/16P":
 			if bw > oldBest {
 				oldBest, oldLat = bw, lat
 			}
@@ -171,21 +210,21 @@ func TestFig15GS1280OutclassesGS320(t *testing.T) {
 }
 
 func TestTab1FirstRowExact(t *testing.T) {
-	tab := Tab1ShuffleAnalytic()
+	tab := quickTable(t, "tab1")
 	r := findRow(t, tab, "4x2")
-	for i, want := range []string{"1.200", "1.500", "2.000"} {
-		if r[i+1] != want {
-			t.Errorf("4x2 col %d = %s, want %s", i+1, r[i+1], want)
+	for _, c := range []struct{ col, want string }{
+		{"avg gain", "1.200"}, {"worst gain", "1.500"}, {"bisection gain", "2.000"},
+	} {
+		if got := r[column(t, tab, c.col)]; got != c.want {
+			t.Errorf("4x2 %s = %s, want %s", c.col, got, c.want)
 		}
 	}
 }
 
 func TestFig18ShuffleImproves(t *testing.T) {
-	tab := Fig18ShuffleMeasured(nil, []int{8}, quickWarm, quickMeasure)
-	torus := findRow(t, tab, "torus")
-	sh1 := findRow(t, tab, "shuffle-1hop")
-	tbw, tlat := parse(t, torus[2]), parse(t, torus[3])
-	sbw, slat := parse(t, sh1[2]), parse(t, sh1[3])
+	tab := quickTable(t, "fig18")
+	tbw, tlat := cell(t, tab, "bandwidth MB/s", "torus", "8"), cell(t, tab, "latency ns", "torus", "8")
+	sbw, slat := cell(t, tab, "bandwidth MB/s", "shuffle-1hop", "8"), cell(t, tab, "latency ns", "shuffle-1hop", "8")
 	// At equal offered load the shuffle must deliver at least as much
 	// bandwidth at no more latency (paper: 5-25% gain).
 	if sbw < tbw*0.98 {
@@ -201,8 +240,8 @@ func TestFig18ShuffleImproves(t *testing.T) {
 }
 
 func TestFig19FluentComparable(t *testing.T) {
-	tab := Fig19Fluent(nil, []int{4}, quickWarm, quickMeasure)
-	gs, sc, old := cell(t, tab, 0, 1), cell(t, tab, 0, 2), cell(t, tab, 0, 3)
+	tab := quickTable(t, "fig19")
+	gs, sc, old := cell(t, tab, "GS1280 rating", "4"), cell(t, tab, "SC45 rating", "4"), cell(t, tab, "GS320 rating", "4")
 	if gs < sc*0.8 || gs > sc*2.5 {
 		t.Errorf("Fluent 4P: GS1280 %.0f vs SC45 %.0f, paper says comparable", gs, sc)
 	}
@@ -212,30 +251,30 @@ func TestFig19FluentComparable(t *testing.T) {
 }
 
 func TestFig21SPDominatedByGS1280(t *testing.T) {
-	tab := Fig21NASSP(nil, []int{16}, quickWarm, quickMeasure)
-	gs, old := cell(t, tab, 0, 1), cell(t, tab, 0, 3)
+	tab := quickTable(t, "fig21")
+	gs, old := cell(t, tab, "GS1280 MOPS", "16"), cell(t, tab, "GS320 MOPS", "16")
 	if r := gs / old; r < 2.0 || r > 7.0 {
 		t.Errorf("SP 16P GS1280/GS320 = %.1f, paper 2.2-2.6 (we land 3-5)", r)
 	}
 }
 
 func TestFig23GUPSBendAndRatio(t *testing.T) {
-	tab := Fig23GUPS([]int{16, 32}, quickWarm, quickMeasure)
-	gs16, gs32 := cell(t, tab, 0, 1), cell(t, tab, 1, 1)
+	tab := quickTable(t, "fig23")
+	gs16, gs32 := cell(t, tab, "GS1280", "16"), cell(t, tab, "GS1280", "32")
 	// The bend: 16P and 32P share a bisection, so scaling flattens.
 	if r := gs32 / gs16; r > 1.5 {
 		t.Errorf("GUPS 32/16 = %.2f, paper shows a bend (flat cross-section)", r)
 	}
-	old32 := parse(t, findRow(t, tab, "32")[2])
+	old32 := cell(t, tab, "GS320", "32")
 	if r := gs32 / old32; r < 6 {
 		t.Errorf("GUPS 32P GS1280/GS320 = %.1f, paper >10x", r)
 	}
 }
 
 func TestFig25SwimWorstMesaBest(t *testing.T) {
-	tab := Fig25StripingDegradation()
-	swim := parse(t, findRow(t, tab, "swim")[1])
-	mesa := parse(t, findRow(t, tab, "mesa")[1])
+	tab := quickTable(t, "fig25")
+	swim := cell(t, tab, "degradation %", "swim")
+	mesa := cell(t, tab, "degradation %", "mesa")
 	if swim < 10 || swim > 40 {
 		t.Errorf("swim striping degradation = %.0f%%, paper ~30%%", swim)
 	}
@@ -248,19 +287,20 @@ func TestFig25SwimWorstMesaBest(t *testing.T) {
 }
 
 func TestFig26StripingDoublesHotSpot(t *testing.T) {
-	tab := Fig26HotSpotStriping([]int{16}, quickWarm, quickMeasure)
-	plain := parse(t, findRow(t, tab, "non-striped")[2])
-	striped := parse(t, findRow(t, tab, "striped")[2])
+	tab := quickTable(t, "fig26")
+	plain := cell(t, tab, "bandwidth MB/s", "non-striped", "16")
+	striped := cell(t, tab, "bandwidth MB/s", "striped", "16")
 	if r := striped / plain; r < 1.4 || r > 2.3 {
 		t.Errorf("hot-spot striping gain = %.2f, paper up to 1.8x", r)
 	}
 }
 
 func TestFig27HotSpotIsCPU0(t *testing.T) {
-	tab := Fig27Xmesh()
-	cpu0 := parse(t, findRow(t, tab, "CPU0")[1])
-	for _, r := range tab.Rows[1:] {
-		if v := parse(t, r[1]); v >= cpu0 {
+	tab := quickTable(t, "fig27")
+	zbox := column(t, tab, "Zbox %")
+	cpu0 := cell(t, tab, "Zbox %", "CPU0")
+	for _, r := range tab.Rows {
+		if v := parse(t, r[zbox]); r[0] != "CPU0" && v >= cpu0 {
 			t.Errorf("%s Zbox %.0f%% >= CPU0 %.0f%%: hot spot not at CPU0", r[0], v, cpu0)
 		}
 	}
@@ -270,8 +310,8 @@ func TestFig27HotSpotIsCPU0(t *testing.T) {
 }
 
 func TestFig28KeyRatios(t *testing.T) {
-	tab := Fig28Summary(nil, quickWarm, quickMeasure)
-	get := func(key string) float64 { return parse(t, findRow(t, tab, key)[1]) }
+	tab := quickTable(t, "fig28")
+	get := func(key string) float64 { return cell(t, tab, "ratio", key) }
 	if v := get("CPU speed"); v > 1.0 {
 		t.Errorf("CPU speed ratio %v: GS1280 clock is lower", v)
 	}
@@ -338,7 +378,7 @@ func TestRegistryAllQuick(t *testing.T) {
 			if !strings.Contains(tab.String(), tab.Title) {
 				t.Fatal("rendering lost the title")
 			}
-			fixture := filepath.Join("..", "runner", "testdata", id+".quick.csv")
+			fixture := fixturePath(id)
 			if *update {
 				if err := os.WriteFile(fixture, []byte(tab.CSV()), 0o644); err != nil {
 					t.Fatal(err)
@@ -377,19 +417,30 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-var _ = sim.Nanosecond // keep the import for helpers
-
+// TestAblationShapes checks deterministic routing against the adaptive
+// baseline at every load the quick sweep runs.
 func TestAblationShapes(t *testing.T) {
-	tab := AblationLoadTest(nil, []int{16}, quickWarm, quickMeasure)
-	base := findRow(t, tab, "baseline")
-	det := findRow(t, tab, "det-routing")
-	// Deterministic routing must not beat adaptive on latency under load.
-	if parse(t, det[3]) < parse(t, base[3])*0.98 {
-		t.Errorf("deterministic routing latency %s beats adaptive %s", det[3], base[3])
+	tab := quickTable(t, "ablation")
+	variant, load, lat := column(t, tab, "variant"), column(t, tab, "outstanding"), column(t, tab, "latency ns")
+	loads := 0
+	for _, base := range tab.Rows {
+		if base[variant] != "baseline" {
+			continue
+		}
+		loads++
+		det := findRow(t, tab, "det-routing", base[load])
+		// Deterministic routing must not beat adaptive on latency under load.
+		if parse(t, det[lat]) < parse(t, base[lat])*0.98 {
+			t.Errorf("at %s outstanding, deterministic routing latency %s beats adaptive %s",
+				base[load], det[lat], base[lat])
+		}
+	}
+	if loads == 0 {
+		t.Fatal("no baseline rows")
 	}
 	// Closing every page costs the precharge penalty on sequential loads.
-	open := parse(t, findRow(t, tab, "open-page (chase)")[3])
-	closed := parse(t, findRow(t, tab, "closed-page (chase)")[3])
+	open := cell(t, tab, "latency ns", "open-page (chase)")
+	closed := cell(t, tab, "latency ns", "closed-page (chase)")
 	if closed < open+30 {
 		t.Errorf("closed-page chase %v not ~47ns above open-page %v", closed, open)
 	}

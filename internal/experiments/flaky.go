@@ -64,6 +64,3 @@ var flakyQuarantine = &openFamily{
 		"probation restores the cable after 5us; a still-bad cable re-trips the threshold and flaps back out",
 	},
 }
-
-// FlakyIDs lists the flaky-fabric experiments.
-func FlakyIDs() []string { return []string{"flaky-satur", "flaky-quarantine"} }

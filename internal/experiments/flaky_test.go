@@ -7,25 +7,25 @@ import "testing"
 // activity is nonzero wherever ber > 0, and recovery is paid for — at the
 // highest common rate the noisy fabric's p99 is no better than healthy.
 func TestFlakySaturErrorTax(t *testing.T) {
-	tab, err := Run("flaky-satur", true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "flaky-satur")
+	routing, ber, rate := column(t, tab, "routing"), column(t, tab, "ber"), column(t, tab, "offered pkts/node/us")
+	bwCol, latCol, p99 := column(t, tab, "delivered MB/s"), column(t, tab, "avg latency ns"), column(t, tab, "p99 ns")
+	retransmits, dropped, acks := column(t, tab, "retransmits"), column(t, tab, "dropped hops"), column(t, tab, "ack msgs")
 	healthyP99, noisyP99 := 0.0, 0.0
 	for _, r := range tab.Rows {
-		bw, lat := parse(t, r[3]), parse(t, r[4])
+		bw, lat := parse(t, r[bwCol]), parse(t, r[latCol])
 		if bw <= 0 || lat <= 0 {
 			t.Errorf("row %v drained or stalled", r)
 		}
-		if r[0] != "adaptive" || r[2] != "60" {
+		if r[routing] != "adaptive" || r[rate] != "60" {
 			continue
 		}
-		if r[1] == "0" {
-			healthyP99 = parse(t, r[9])
+		if r[ber] == "0" {
+			healthyP99 = parse(t, r[p99])
 			continue
 		}
-		noisyP99 = parse(t, r[9])
-		if parse(t, r[10]) == 0 || parse(t, r[11]) == 0 || parse(t, r[12]) == 0 {
+		noisyP99 = parse(t, r[p99])
+		if parse(t, r[retransmits]) == 0 || parse(t, r[dropped]) == 0 || parse(t, r[acks]) == 0 {
 			t.Errorf("noisy row %v shows no retransmission activity", r)
 		}
 	}
@@ -39,21 +39,21 @@ func TestFlakySaturErrorTax(t *testing.T) {
 // quarantine), and with it on every sample trips exactly one quarantine
 // and reroutes traffic off the cable.
 func TestFlakyQuarantineAblation(t *testing.T) {
-	tab, err := Run("flaky-quarantine", true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "flaky-quarantine")
+	mode, bwCol := column(t, tab, "mode"), column(t, tab, "delivered MB/s")
+	retransmits, dropped := column(t, tab, "retransmits"), column(t, tab, "dropped hops")
+	quarCol, reroutesCol := column(t, tab, "quarantines"), column(t, tab, "reroutes")
 	rows := 0
 	for _, r := range tab.Rows {
 		rows++
-		if bw := parse(t, r[2]); bw <= 0 {
+		if bw := parse(t, r[bwCol]); bw <= 0 {
 			t.Errorf("row %v drained", r)
 		}
-		if parse(t, r[6]) == 0 || parse(t, r[7]) == 0 {
+		if parse(t, r[retransmits]) == 0 || parse(t, r[dropped]) == 0 {
 			t.Errorf("row %v shows no error activity on the bad cable", r)
 		}
-		quar, reroutes := parse(t, r[9]), parse(t, r[10])
-		switch r[0] {
+		quar, reroutes := parse(t, r[quarCol]), parse(t, r[reroutesCol])
+		switch r[mode] {
 		case "off":
 			if quar != 0 {
 				t.Errorf("mode off quarantined: %v", r)
@@ -70,7 +70,7 @@ func TestFlakyQuarantineAblation(t *testing.T) {
 				t.Errorf("probation mode never quarantined: %v", r)
 			}
 		default:
-			t.Errorf("unknown mode %q", r[0])
+			t.Errorf("unknown mode %q", r[mode])
 		}
 	}
 	if want := len(flakyQuarantine.variants.list) * len(saturQuickRates); rows != want {

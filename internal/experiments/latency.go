@@ -91,19 +91,6 @@ func Fig13LatencyMatrix() *Table {
 // Fig14CPUCounts is the paper's sweep.
 var Fig14CPUCounts = []int{4, 8, 16, 32, 64}
 
-// Fig14AvgLatency regenerates Fig 14: average load-to-use latency from
-// CPU0 to all CPUs as the machine grows.
-func Fig14AvgLatency(counts []int) *Table {
-	if counts == nil {
-		counts = Fig14CPUCounts
-	}
-	parts := make([]Part, len(counts))
-	for i, n := range counts {
-		parts[i] = fig14Row(nil, n)
-	}
-	return fig14Assemble(parts)
-}
-
 // fig14Row measures one machine size — one row of Fig 14, independently
 // runnable on env's reusable engines.
 func fig14Row(env *Env, n int) Part {
@@ -128,17 +115,8 @@ func fig14Row(env *Env, n int) Part {
 	return Part{Rows: [][]string{{fmt.Sprintf("%d", n), f1(sum / float64(n)), old}}}
 }
 
-func fig14Assemble(parts []Part) *Table {
-	t := assemble(&Table{
-		ID:     "fig14",
-		Title:  "Average load-to-use latency (ns) vs CPUs",
-		Header: []string{"CPUs", "GS1280", "GS320"},
-	}, parts)
-	t.AddNote("paper: GS1280 stays under ~300ns at 64P; GS320 ~650ns at 32P")
-	return t
-}
-
-// fig14Spec exposes the CPU-count sweep as one unit per machine size.
+// fig14Spec regenerates Fig 14: average load-to-use latency from CPU0 to
+// all CPUs as the machine grows, one unit per machine size.
 func fig14Spec() Spec {
 	return Spec{
 		ID: "fig14",
@@ -151,7 +129,15 @@ func fig14Spec() Spec {
 				func(n int) string { return fmt.Sprintf("fig14[%dP]", n) },
 				fig14Row)
 		},
-		Assemble: func(_ bool, parts []Part) *Table { return fig14Assemble(parts) },
+		Assemble: func(_ bool, parts []Part) *Table {
+			t := assemble(&Table{
+				ID:     "fig14",
+				Title:  "Average load-to-use latency (ns) vs CPUs",
+				Header: []string{"CPUs", "GS1280", "GS320"},
+			}, parts)
+			t.AddNote("paper: GS1280 stays under ~300ns at 64P; GS320 ~650ns at 32P")
+			return t
+		},
 	}
 }
 
@@ -233,7 +219,7 @@ func makeLoadStreams(m machine.Machine, k int) []cpu.Stream {
 	return ss
 }
 
-// Fig15Outstanding is the default sweep (the paper runs 1..30).
+// Fig15Outstanding is the full sweep (the paper runs 1..30).
 var Fig15Outstanding = []int{1, 2, 4, 8, 12, 16, 24, 30}
 
 // fig15Config is one curve of the Fig 15 load test: its name and the
@@ -274,39 +260,9 @@ func fig15Point(env *Env, c fig15Config, k int, warm, measure sim.Time) Part {
 	return Part{Rows: [][]string{{c.name, fmt.Sprintf("%d", p.Outstanding), bw, lat}}}
 }
 
-func fig15Assemble(parts []Part) *Table {
-	t := assemble(&Table{
-		ID:     "fig15",
-		Title:  "Load test: latency (ns) vs delivered bandwidth (MB/s)",
-		Header: []string{"config", "outstanding", "bandwidth MB/s", "latency ns"},
-	}, parts)
-	t.AddNote("paper: GS1280 sustains far higher bandwidth at small latency growth; GS320 latency explodes early")
-	return t
-}
-
-// Fig15LoadTest regenerates Fig 15: latency against delivered bandwidth
-// under increasing load for 16/32/64-CPU GS1280 and 16/32-CPU GS320.
-func Fig15LoadTest(outstanding []int, warm, measure sim.Time) *Table {
-	if outstanding == nil {
-		outstanding = Fig15Outstanding
-	}
-	if warm == 0 {
-		warm = 20 * sim.Microsecond
-	}
-	if measure == 0 {
-		measure = 60 * sim.Microsecond
-	}
-	var parts []Part
-	for _, c := range fig15Configs() {
-		for _, k := range outstanding {
-			parts = append(parts, fig15Point(nil, c, k, warm, measure))
-		}
-	}
-	return fig15Assemble(parts)
-}
-
-// fig15Spec exposes the load test as one unit per (curve, load) sample —
-// 40 independent simulations in the full sweep.
+// fig15Spec regenerates Fig 15: latency against delivered bandwidth under
+// increasing load for 16/32/64-CPU GS1280 and 16/32-CPU GS320, one unit
+// per (curve, load) sample — 40 independent simulations in the full sweep.
 func fig15Spec() Spec {
 	plan := func(q bool) ([]int, sim.Time, sim.Time) {
 		if q {
@@ -332,6 +288,14 @@ func fig15Spec() Spec {
 				func(p point) string { return fmt.Sprintf("fig15[%s,k=%d]", p.c.name, p.k) },
 				func(env *Env, p point) Part { return fig15Point(env, p.c, p.k, warm, measure) })
 		},
-		Assemble: func(_ bool, parts []Part) *Table { return fig15Assemble(parts) },
+		Assemble: func(_ bool, parts []Part) *Table {
+			t := assemble(&Table{
+				ID:     "fig15",
+				Title:  "Load test: latency (ns) vs delivered bandwidth (MB/s)",
+				Header: []string{"config", "outstanding", "bandwidth MB/s", "latency ns"},
+			}, parts)
+			t.AddNote("paper: GS1280 sustains far higher bandwidth at small latency growth; GS320 latency explodes early")
+			return t
+		},
 	}
 }

@@ -29,7 +29,7 @@ type Memo struct {
 
 // NewMemo returns an empty memo. The scheduler (internal/fleet) creates one
 // per run and shares it among the run's in-process slots; each worker
-// process and each Spec.Runner run creates its own.
+// process and each serial run (Spec.Run) creates its own.
 func NewMemo() *Memo { return &Memo{results: make(map[any]any)} }
 
 func (m *Memo) load(key any) (any, bool) {

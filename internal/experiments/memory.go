@@ -16,22 +16,6 @@ var Fig04Sizes = []int64{
 	512 << 10, 1 << 20, 2 << 20, 4 << 20, 8 << 20, 16 << 20, 32 << 20, 64 << 20,
 }
 
-// Fig04DependentLoad regenerates Fig 4: dependent-load latency against
-// dataset size on the three machines. The GS1280 curve steps at 64 KB
-// (L1), 1.75 MB (L2) and then memory at ~83 ns; the previous generation
-// steps at 64 KB and 16 MB, with its off-chip cache slower than GS1280's
-// on-chip L2 but its 16 MB capacity winning between 1.75 and 16 MB.
-func Fig04DependentLoad(sizes []int64) *Table {
-	if sizes == nil {
-		sizes = Fig04Sizes
-	}
-	parts := make([]Part, len(sizes))
-	for i, size := range sizes {
-		parts[i] = fig04Row(nil, size)
-	}
-	return fig04Assemble(parts)
-}
-
 // fig04Row measures one dataset size on the three machines — one row of
 // Fig 4, independently runnable: each measurement builds a fresh machine
 // on env's reusable engines.
@@ -44,30 +28,33 @@ func fig04Row(env *Env, size int64) Part {
 		chase(smpRig(machine.GS320Config(4)))}}}
 }
 
-func fig04Assemble(parts []Part) *Table {
-	t := assemble(&Table{
-		ID:     "fig4",
-		Title:  "Dependent load latency (ns) vs dataset size",
-		Header: []string{"dataset", "GS1280/1.15GHz", "ES45/1.25GHz", "GS320/1.22GHz"},
-	}, parts)
-	t.AddNote("paper: GS1280 3.8x lower latency at 32MB; slower only between 1.75MB and 16MB")
-	return t
-}
-
-// fig04Spec exposes the dataset-size sweep as one unit per size.
+// fig04Spec regenerates Fig 4: dependent-load latency against dataset
+// size on the three machines, one unit per size. The GS1280 curve steps at
+// 64 KB (L1), 1.75 MB (L2) and then memory at ~83 ns; the previous
+// generation steps at 64 KB and 16 MB, with its off-chip cache slower than
+// GS1280's on-chip L2 but its 16 MB capacity winning between 1.75 and
+// 16 MB.
 func fig04Spec() Spec {
 	return Spec{
 		ID: "fig4",
 		Units: func(q bool) []Unit {
 			sizes := Fig04Sizes
 			if q {
-				sizes = quickSizes
+				sizes = []int64{16 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20, 32 << 20}
 			}
 			return sweepUnits(sizes,
 				func(size int64) string { return fmt.Sprintf("fig4[%s]", byteSize(size)) },
 				fig04Row)
 		},
-		Assemble: func(_ bool, parts []Part) *Table { return fig04Assemble(parts) },
+		Assemble: func(_ bool, parts []Part) *Table {
+			t := assemble(&Table{
+				ID:     "fig4",
+				Title:  "Dependent load latency (ns) vs dataset size",
+				Header: []string{"dataset", "GS1280/1.15GHz", "ES45/1.25GHz", "GS320/1.22GHz"},
+			}, parts)
+			t.AddNote("paper: GS1280 3.8x lower latency at 32MB; slower only between 1.75MB and 16MB")
+			return t
+		},
 	}
 }
 
@@ -79,13 +66,13 @@ var (
 
 // Fig05StrideSweep regenerates Fig 5: GS1280 dependent-load latency as
 // both dataset size and stride grow. Large strides defeat the RDRAM
-// open-page hits, raising memory latency from ~83 ns toward ~130 ns.
-func Fig05StrideSweep(env *Env, sizes, strides []int64) *Table {
-	if sizes == nil {
-		sizes = Fig05Sizes
-	}
-	if strides == nil {
-		strides = Fig05Strides
+// open-page hits, raising memory latency from ~83 ns toward ~130 ns. The
+// quick plan is a 3x3 corner of the surface: L1, L2 and memory sizes at
+// an open-page, a mid and a closed-page stride.
+func Fig05StrideSweep(env *Env, quick bool) *Table {
+	sizes, strides := Fig05Sizes, Fig05Strides
+	if quick {
+		sizes, strides = []int64{64 << 10, 1 << 20, 4 << 20}, []int64{64, 1 << 10, 16 << 10}
 	}
 	t := &Table{
 		ID:    "fig5",
@@ -158,9 +145,10 @@ var Fig06CPUCounts = []int{1, 2, 4, 8, 16, 32, 64}
 // Fig06StreamScaling regenerates Fig 6: STREAM Triad bandwidth scaling.
 // GS1280 scales linearly (private Zboxes per CPU); GS320 saturates per
 // QBB; SC45 scales in steps of four (cluster nodes share a bus).
-func Fig06StreamScaling(env *Env, counts []int) *Table {
-	if counts == nil {
-		counts = Fig06CPUCounts
+func Fig06StreamScaling(env *Env, quick bool) *Table {
+	counts := Fig06CPUCounts
+	if quick {
+		counts = []int{1, 4, 16}
 	}
 	t := &Table{
 		ID:     "fig6",

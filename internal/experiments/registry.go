@@ -7,18 +7,12 @@ import (
 	"gs1280/internal/sim"
 )
 
-// quick durations shrink simulated measurement windows and sweep densities
-// so the full suite runs in seconds instead of minutes.
+// quickWarm and quickMeasure are the quick plans' measurement windows:
+// with the quick sweeps they run the whole suite in seconds, not minutes.
 const (
 	quickWarm    = 10 * sim.Microsecond
 	quickMeasure = 25 * sim.Microsecond
 )
-
-var quickSizes = []int64{16 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20, 32 << 20}
-
-// Runner regenerates one paper artifact serially. quick trades sweep
-// density for runtime without changing the experiment's structure.
-type Runner func(quick bool) *Table
 
 // Env is the per-slot reusable state threaded through Unit.Run: a pool of
 // simulation engines handed out in call order and Reset between uses, so
@@ -31,8 +25,8 @@ type Runner func(quick bool) *Table
 // pins.
 //
 // A nil *Env is valid: it hands out fresh engines and has no memo, so
-// every measurement is simulated. The exported serial entry points
-// (Fig04DependentLoad, Fig15LoadTest, ...) use that.
+// every measurement is simulated. The tests that compare two simulations
+// of one point rely on that.
 type Env struct {
 	engines []*sim.Engine
 	next    int
@@ -44,7 +38,7 @@ type Env struct {
 // NewEnv returns an empty environment whose units consult memo; a nil memo
 // means none. The scheduler (internal/fleet) creates one per in-process
 // slot, all sharing the run's memo, and one per worker process with a memo
-// of its own; Spec.Runner creates one per serial run.
+// of its own; Spec.Run creates one per serial run.
 func NewEnv(memo *Memo) *Env { return &Env{memo: memo} }
 
 // Reused reports how many results the memo has served to units run on env.
@@ -131,20 +125,20 @@ type Unit struct {
 // into independent units, and how the units' parts (delivered in Units
 // order regardless of execution order) assemble into the final table.
 // Sweep-style experiments (fig4, fig14, fig15, fig23) expose one unit per
-// sweep point; the rest are single-unit.
+// sweep point; the rest are single-unit. Each experiment declares its quick
+// and full plan once, in its own file: a sweep in its Spec builder's
+// Units, a single-unit experiment in the function whole wraps.
 type Spec struct {
 	ID       string
 	Units    func(quick bool) []Unit
 	Assemble func(quick bool, parts []Part) *Table
 }
 
-// Runner flattens the spec back into a serial runner: units executed in
-// order on the calling goroutine with an Env and a Memo of their own, then
-// assembled. Registry is built from this, so serial and parallel runs
-// share one code path per experiment.
-func (s Spec) Runner() Runner {
-	return func(quick bool) *Table { return s.run(NewEnv(NewMemo()), quick) }
-}
+// Run executes the experiment serially: its units in order on the calling
+// goroutine with an Env and a Memo of their own, then assembled. Serial
+// and parallel runs share the units, so they share one code path per
+// experiment.
+func (s Spec) Run(quick bool) *Table { return s.run(NewEnv(NewMemo()), quick) }
 
 // run executes the spec's units in order on env and assembles them.
 func (s Spec) run(env *Env, quick bool) *Table {
@@ -201,20 +195,10 @@ var catalog = specs()
 
 func specs() []Spec {
 	return []Spec{
-		whole("fig1", func(*Env, bool) *Table { return Fig01SPECfpRate(nil) }),
+		whole("fig1", func(*Env, bool) *Table { return Fig01SPECfpRate() }),
 		fig04Spec(),
-		whole("fig5", func(env *Env, q bool) *Table {
-			if q {
-				return Fig05StrideSweep(env, []int64{64 << 10, 1 << 20, 4 << 20}, []int64{64, 1 << 10, 16 << 10})
-			}
-			return Fig05StrideSweep(env, nil, nil)
-		}),
-		whole("fig6", func(env *Env, q bool) *Table {
-			if q {
-				return Fig06StreamScaling(env, []int{1, 4, 16})
-			}
-			return Fig06StreamScaling(env, nil)
-		}),
+		whole("fig5", Fig05StrideSweep),
+		whole("fig6", Fig06StreamScaling),
 		whole("fig7", func(env *Env, _ bool) *Table { return Fig07Stream1v4(env) }),
 		whole("fig8", func(*Env, bool) *Table { return Fig08IPCfp() }),
 		whole("fig9", func(*Env, bool) *Table { return Fig09IPCint() }),
@@ -226,42 +210,17 @@ func specs() []Spec {
 		fig15Spec(),
 		whole("tab1", func(*Env, bool) *Table { return Tab1ShuffleAnalytic() }),
 		fig1617Spec(),
-		whole("fig18", func(env *Env, q bool) *Table {
-			if q {
-				return Fig18ShuffleMeasured(env, []int{2, 8}, quickWarm, quickMeasure)
-			}
-			return Fig18ShuffleMeasured(env, nil, 0, 0)
-		}),
-		whole("fig19", func(env *Env, q bool) *Table {
-			if q {
-				return Fig19Fluent(env, []int{4, 16}, quickWarm, quickMeasure)
-			}
-			return Fig19Fluent(env, nil, 0, 0)
-		}),
+		whole("fig18", Fig18ShuffleMeasured),
+		whole("fig19", Fig19Fluent),
 		whole("fig20", func(*Env, bool) *Table { return Fig20FluentUtil() }),
-		whole("fig21", func(env *Env, q bool) *Table {
-			if q {
-				return Fig21NASSP(env, []int{4, 16}, quickWarm, quickMeasure)
-			}
-			return Fig21NASSP(env, nil, 0, 0)
-		}),
+		whole("fig21", Fig21NASSP),
 		whole("fig22", func(*Env, bool) *Table { return Fig22SPUtil() }),
 		fig23Spec(),
 		whole("fig24", func(*Env, bool) *Table { return Fig24GUPSUtil() }),
 		whole("fig25", func(*Env, bool) *Table { return Fig25StripingDegradation() }),
-		whole("fig26", func(_ *Env, q bool) *Table {
-			if q {
-				return Fig26HotSpotStriping([]int{2, 16}, quickWarm, quickMeasure)
-			}
-			return Fig26HotSpotStriping(nil, 0, 0)
-		}),
+		whole("fig26", func(_ *Env, q bool) *Table { return Fig26HotSpotStriping(q) }),
 		whole("fig27", func(*Env, bool) *Table { return Fig27Xmesh() }),
-		whole("fig28", func(env *Env, q bool) *Table {
-			if q {
-				return Fig28Summary(env, quickWarm, quickMeasure)
-			}
-			return Fig28Summary(env, 0, 0)
-		}),
+		whole("fig28", Fig28Summary),
 		saturUniform.spec(),
 		saturTranspose.spec(),
 		saturHotspot.spec(),
@@ -272,12 +231,7 @@ func specs() []Spec {
 		tailMissSpec(),
 		flakySatur.spec(),
 		flakyQuarantine.spec(),
-		whole("ablation", func(env *Env, q bool) *Table {
-			if q {
-				return AblationLoadTest(env, []int{4, 30}, quickWarm, quickMeasure)
-			}
-			return AblationLoadTest(env, nil, 20*sim.Microsecond, 60*sim.Microsecond)
-		}),
+		whole("ablation", AblationLoadTest),
 	}
 }
 
@@ -289,25 +243,6 @@ func SpecByID(id string) (Spec, bool) {
 		}
 	}
 	return Spec{}, false
-}
-
-// Registry maps experiment ids (fig1, fig4, ..., tab1) to serial runners.
-// It is derived from Specs; parallel execution goes through Specs directly
-// (see internal/runner).
-//
-// Iteration-order audit (gslint detflow): consumers must never range
-// over this map into anything ordered — emitted tables, progress lines,
-// unit queues. Every current consumer does keyed lookups only
-// (registry_test.go), and ordered walks of the catalog go through IDs(),
-// which reproduces paper order from the Specs slice. Keep it that way:
-// a map range here is exactly the -j1/-j8 divergence detflow exists to
-// catch.
-func Registry() map[string]Runner {
-	reg := make(map[string]Runner, len(catalog))
-	for _, s := range catalog {
-		reg[s.ID] = s.Runner()
-	}
-	return reg
 }
 
 // IDs reports all experiment ids in paper order (the order of Specs).
@@ -325,5 +260,5 @@ func Run(id string, quick bool) (*Table, error) {
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown id %q (see IDs())", id)
 	}
-	return s.Runner()(quick), nil
+	return s.Run(quick), nil
 }

@@ -37,23 +37,19 @@ func TestIDsPaperOrder(t *testing.T) {
 	}
 }
 
-// TestIDsMatchSpecsAndRegistry keeps the three views of the catalog — IDs,
-// Specs and the serial Registry — in lockstep.
+// TestIDsMatchSpecsAndRegistry keeps the views of the catalog — IDs,
+// Specs and SpecByID, the registry lookup every scheduler uses — in
+// lockstep.
 func TestIDsMatchSpecsAndRegistry(t *testing.T) {
 	ids := IDs()
 	specs := Specs()
-	reg := Registry()
-	if len(ids) != len(specs) || len(ids) != len(reg) {
-		t.Fatalf("catalog sizes differ: %d ids, %d specs, %d registry entries",
-			len(ids), len(specs), len(reg))
+	if len(ids) != len(specs) {
+		t.Fatalf("catalog sizes differ: %d ids, %d specs", len(ids), len(specs))
 	}
 	seen := make(map[string]bool, len(ids))
 	for i, id := range ids {
 		if specs[i].ID != id {
 			t.Errorf("Specs()[%d].ID = %q, want %q", i, specs[i].ID, id)
-		}
-		if _, ok := reg[id]; !ok {
-			t.Errorf("Registry missing %q", id)
 		}
 		if seen[id] {
 			t.Errorf("duplicate id %q", id)

@@ -55,9 +55,6 @@ func saturFamily(id string, pattern traffic.Pattern) *openFamily {
 	}
 }
 
-// SaturIDs lists the offered-load sweep experiments.
-func SaturIDs() []string { return []string{"satur-uniform", "satur-transpose", "satur-hotspot"} }
-
 // fig1617Patterns are the permutations of the latency-under-load matrix.
 var fig1617Patterns = []struct {
 	name    string

@@ -49,21 +49,16 @@ func Tab1ShuffleAnalytic() *Table {
 	return t
 }
 
-// Fig18Outstanding is the default load sweep for the 8-CPU prototype.
+// Fig18Outstanding is the full load sweep for the 8-CPU prototype.
 var Fig18Outstanding = []int{1, 2, 3, 4, 6, 8, 12, 16}
 
 // Fig18ShuffleMeasured regenerates Fig 18: the same random-read load test
 // on the 8-CPU machine wired as a torus, as a shuffle using the chords as
 // first hop only, and as a shuffle allowing them for two hops.
-func Fig18ShuffleMeasured(env *Env, outstanding []int, warm, measure sim.Time) *Table {
-	if outstanding == nil {
-		outstanding = Fig18Outstanding
-	}
-	if warm == 0 {
-		warm = 20 * sim.Microsecond
-	}
-	if measure == 0 {
-		measure = 60 * sim.Microsecond
+func Fig18ShuffleMeasured(env *Env, quick bool) *Table {
+	outstanding, warm, measure := Fig18Outstanding, 20*sim.Microsecond, 60*sim.Microsecond
+	if quick {
+		outstanding, warm, measure = []int{2, 8}, quickWarm, quickMeasure
 	}
 	t := &Table{
 		ID:     "fig18",

@@ -46,19 +46,17 @@ func hotSpotCurve(striped bool, outstanding []int, warm, measure sim.Time) []Loa
 	return pts
 }
 
-// Fig26Outstanding is the default hot-spot load sweep.
+// Fig26Outstanding is the full hot-spot load sweep.
 var Fig26Outstanding = []int{1, 2, 4, 8, 16}
 
 // Fig26HotSpotStriping regenerates Fig 26: the hot-spot traffic pattern
 // (all CPUs read CPU0's memory) with and without striping. Striping
 // spreads the hot node's traffic across the module pair's four Zboxes,
 // roughly doubling delivered bandwidth at saturation.
-func Fig26HotSpotStriping(outstanding []int, warm, measure sim.Time) *Table {
-	if outstanding == nil {
-		outstanding = Fig26Outstanding
-	}
-	if warm == 0 {
-		warm, measure = 20*sim.Microsecond, 60*sim.Microsecond
+func Fig26HotSpotStriping(quick bool) *Table {
+	outstanding, warm, measure := Fig26Outstanding, 20*sim.Microsecond, 60*sim.Microsecond
+	if quick {
+		outstanding, warm, measure = []int{2, 16}, quickWarm, quickMeasure
 	}
 	t := &Table{
 		ID:     "fig26",

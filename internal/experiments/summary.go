@@ -18,9 +18,10 @@ var commercialTraits = []specmodel.Benchmark{
 // summary across system components, standard benchmarks and application
 // classes. Component ratios come from the simulator, benchmark ratios
 // from the trait model, application ratios from the §5 class models.
-func Fig28Summary(env *Env, warm, measure sim.Time) *Table {
-	if warm == 0 {
-		warm, measure = 15*sim.Microsecond, 40*sim.Microsecond
+func Fig28Summary(env *Env, quick bool) *Table {
+	warm, measure := 15*sim.Microsecond, 40*sim.Microsecond
+	if quick {
+		warm, measure = quickWarm, quickMeasure
 	}
 	t := &Table{
 		ID:     "fig28",

@@ -178,6 +178,3 @@ func tailMissSpec() Spec {
 		},
 	}
 }
-
-// TailIDs lists the tail-latency experiments.
-func TailIDs() []string { return []string{"tail-satur", "tail-degraded", "tail-miss"} }

@@ -129,8 +129,8 @@ func renderResults(t *testing.T, results []Result) string {
 }
 
 // serialOracle renders the suite with no scheduler at all — each spec's
-// serial Runner, in id order — the byte-identity reference every slot
-// count and transport must match.
+// serial Run, in id order — the byte-identity reference every slot count
+// and transport must match.
 func serialOracle(t *testing.T, ids []string, lookup Lookup) string {
 	t.Helper()
 	var b strings.Builder
@@ -139,7 +139,7 @@ func serialOracle(t *testing.T, ids []string, lookup Lookup) string {
 		if !ok {
 			t.Fatalf("oracle: unknown id %q", id)
 		}
-		b.WriteString(spec.Runner()(false).String())
+		b.WriteString(spec.Run(false).String())
 	}
 	return b.String()
 }

@@ -124,6 +124,32 @@ func TestJournalFormatStability(t *testing.T) {
 	}
 }
 
+// TestSuiteHashPinned pins the real suite's unit identity: the hash a
+// journal's header carries, over every experiment's unit count and unit
+// names. A journal resumes only under the hash it was written with, so a
+// renamed, added or re-split unit strands every existing journal. A
+// change that alters the units must update these values and say why, as
+// a fixture update does.
+func TestSuiteHashPinned(t *testing.T) {
+	for _, c := range []struct {
+		quick bool
+		units int
+		want  string
+	}{
+		{true, 137, "ff255aa27434debcffe6d29f5fbe54d9"},
+		{false, 397, "aee2c134fcedce192344a7fe4eddc948"},
+	} {
+		units := 0
+		for _, spec := range experiments.Specs() {
+			units += len(spec.Units(c.quick))
+		}
+		if got := SuiteHash(experiments.IDs(), c.quick, nil); got != c.want || units != c.units {
+			t.Errorf("quick=%t: suite of %d units hashes to %s, want %d units hashing to %s",
+				c.quick, units, got, c.units, c.want)
+		}
+	}
+}
+
 // TestJournalRoundTrip: records written through the journal replay into
 // identical parts.
 func TestJournalRoundTrip(t *testing.T) {

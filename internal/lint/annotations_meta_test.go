@@ -36,9 +36,9 @@ func TestRepoAnnotationsPresent(t *testing.T) {
 	}
 	for _, want := range []string{
 		"coherence.msg",
-		"memctrl.completion",
 		"cpu.opDone",
 		"machine.ioXfer",
+		"machine.smpDone",
 		"network.relXmit",
 		"network.relAck",
 	} {

@@ -27,7 +27,7 @@ func Specs() []unit {
 	}
 }
 
-// RunAll drives every unit, like Spec.Runner does in the real module.
+// RunAll drives every unit, like Spec.Run does in the real module.
 func RunAll() int {
 	total := 0
 	for _, u := range Specs() {

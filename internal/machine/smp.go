@@ -141,7 +141,10 @@ type SMP struct {
 }
 
 // smpDone carries one access's completion callback to its scheduled
-// instant; pooled, like memctrl's completion records.
+// instant. Pooled, with its own embedded timer, so the GS320, ES45 and
+// SC45 access path neither allocates nor touches the engine's node pool.
+//
+//gs:pooled
 type smpDone struct {
 	m          *SMP
 	t          sim.Timer

@@ -82,10 +82,6 @@ type Controller struct {
 	openRing []int
 	ringHead int
 	ringLen  int
-	// free is the pool of latency-completion records behind Access; a
-	// controller has at most a handful in flight, so the pool stays tiny
-	// and the steady-state access path allocates nothing.
-	free []*completion
 	// avgBacklog is an EWMA (gain 1/4) of the bus queue delay observed at
 	// each access — the measured demand pressure CritAware writebacks
 	// yield to. It decays to exactly zero on an idle bus, so the
@@ -95,33 +91,6 @@ type Controller struct {
 	avgBacklog sim.Time
 
 	reads, writes, pageHits, pageMisses uint64
-}
-
-// completion carries one Access's callback from issue to the scheduled
-// completion instant. Pooled, with its own embedded timer, so the
-// steady-state access path neither allocates nor touches the engine's
-// node pool.
-//
-//gs:pooled
-type completion struct {
-	c      *Controller
-	t      sim.Timer
-	done   func(lat sim.Time)
-	issued sim.Time
-	doneAt sim.Time
-}
-
-// runCompletion dispatches a pooled completion: the record is released
-// before the callback runs, because the callback may immediately issue
-// another access and want the record back.
-//
-//gs:noalloc guard=TestAccessBgAtZeroAlloc
-func runCompletion(a any) {
-	cp := a.(*completion)
-	done, lat := cp.done, cp.doneAt-cp.issued
-	cp.done = nil
-	cp.c.free = append(cp.c.free, cp)
-	done(lat)
 }
 
 // New returns a controller with all pages closed.
@@ -148,35 +117,16 @@ func New(eng *sim.Engine, params Params) *Controller {
 // Params reports the controller's configuration.
 func (c *Controller) Params() Params { return c.params }
 
-// Access performs one line read or write at addr. done runs when the data
-// has been delivered (read) or committed (write); the argument is the
-// access latency from the call.
+// AccessAt performs one line read or write at addr and returns the
+// absolute completion time, leaving scheduling to the caller: the data has
+// been delivered (read) or committed (write) at that instant. Callers
+// carry their own transaction state (the coherence layer's home-side
+// directory reads and victim writes) and arm their record's embedded timer
+// for the returned instant, so nothing on this path touches the heap.
 //
 // Latency = queueing on the data bus + page hit/miss access time. The bus
 // is occupied for the line transfer time, bounding sustained bandwidth at
 // Params.Bandwidth.
-func (c *Controller) Access(addr int64, write bool, done func(lat sim.Time)) {
-	issued := c.eng.Now()
-	doneAt := c.schedule(addr, write, false)
-	var cp *completion
-	if n := len(c.free); n > 0 {
-		cp = c.free[n-1]
-		c.free = c.free[:n-1]
-	} else {
-		cp = &completion{c: c}
-		cp.t.InitFunc(c.eng, runCompletion, cp)
-	}
-	cp.done, cp.issued, cp.doneAt = done, issued, doneAt
-	cp.t.ScheduleAt(doneAt)
-}
-
-// AccessAt performs one line read or write at addr and returns the
-// absolute completion time, leaving scheduling to the caller. It is the
-// zero-allocation variant of Access for callers that carry their own
-// transaction state and do not need the latency reported (the coherence
-// layer's home-side directory reads and victim writes): the caller arms
-// its transaction record's embedded timer for the returned instant, so
-// nothing on this path touches the heap.
 //
 //gs:noalloc guard=TestCoherenceFastPathAllocs
 func (c *Controller) AccessAt(addr int64, write bool) sim.Time {
@@ -198,8 +148,8 @@ func (c *Controller) AccessBgAt(addr int64, write bool) sim.Time {
 	return c.schedule(addr, write, c.params.CritAware)
 }
 
-// schedule performs the timing model shared by Access, AccessAt and
-// AccessBgAt: page hit/miss resolution, bus queueing (deferred when
+// schedule performs the timing model shared by AccessAt and AccessBgAt:
+// page hit/miss resolution, bus queueing (deferred when
 // yield is set), and counters. It returns the absolute completion time.
 func (c *Controller) schedule(addr int64, write bool, yield bool) sim.Time {
 	row := addr / c.params.PageBytes

@@ -11,15 +11,14 @@ func newCtl() (*sim.Engine, *Controller) {
 	return eng, New(eng, DefaultParams())
 }
 
+// access performs one access, advances the engine to its completion and
+// returns its latency.
 func access(t *testing.T, eng *sim.Engine, c *Controller, addr int64, write bool) sim.Time {
 	t.Helper()
-	var lat sim.Time = -1
-	c.Access(addr, write, func(l sim.Time) { lat = l })
-	eng.Run()
-	if lat < 0 {
-		t.Fatal("access did not complete")
-	}
-	return lat
+	issued := eng.Now()
+	done := c.AccessAt(addr, write)
+	eng.RunUntil(done)
+	return done - issued
 }
 
 func TestFirstAccessIsPageMiss(t *testing.T) {
@@ -102,9 +101,9 @@ func TestBandwidthBound(t *testing.T) {
 	const lines = 1000
 	var last sim.Time
 	for i := 0; i < lines; i++ {
-		c.Access(int64(i)*64, false, func(sim.Time) { last = eng.Now() })
+		last = max(last, c.AccessAt(int64(i)*64, false))
 	}
-	eng.Run()
+	eng.RunUntil(last)
 	minTime := sim.Time(lines-1) * sim.TransferTime(64, DefaultParams().Bandwidth)
 	if last < minTime {
 		t.Fatalf("burst finished at %v, faster than bus bound %v", last, minTime)
@@ -159,10 +158,9 @@ func BenchmarkControllerAccess(b *testing.B) {
 	eng := sim.NewEngine()
 	c := New(eng, DefaultParams())
 	for i := 0; i < b.N; i++ {
-		c.Access(int64(i)*64, false, func(sim.Time) {})
+		done := c.AccessAt(int64(i)*64, false)
 		if i%256 == 255 {
-			eng.Run()
+			eng.RunUntil(done)
 		}
 	}
-	eng.Run()
 }
