@@ -100,13 +100,10 @@ func appRate(env *Env, r rig, n int, c appClass, warm, measure sim.Time) float64
 	})
 }
 
-// appCounts is the CPU sweep for Figs 19/21.
-var appCounts = []int{4, 8, 16, 32}
-
-// appTable builds a Fig 19/21-style scaling comparison for class c.
-// The rating is aggregate op throughput scaled by unit.
+// appTable builds a Fig 19/21-style scaling comparison for class c across
+// CPU counts. The rating is aggregate op throughput scaled by unit.
 func appTable(env *Env, id, title, unitName string, c appClass, unit float64, quick bool) *Table {
-	counts, warm, measure := appCounts, 20*sim.Microsecond, 80*sim.Microsecond
+	counts, warm, measure := []int{4, 8, 16, 32}, 20*sim.Microsecond, 80*sim.Microsecond
 	if quick {
 		counts, warm, measure = []int{4, 16}, quickWarm, quickMeasure
 	}
@@ -163,8 +160,8 @@ func Fig19Fluent(env *Env, quick bool) *Table {
 
 // Fig20FluentUtil regenerates Fig 20: memory-controller and IP-link
 // utilization during a Fluent run — both low.
-func Fig20FluentUtil() *Table {
-	return utilTable("fig20", "Fluent: memory and IP-link utilization (16P GS1280)", fluentClass,
+func Fig20FluentUtil(env *Env) *Table {
+	return utilTable(env, "fig20", "Fluent: memory and IP-link utilization (16P GS1280)", fluentClass,
 		"paper: ~6%% memory, ~2%% IP — neither subsystem is stressed")
 }
 
@@ -179,38 +176,40 @@ func Fig21NASSP(env *Env, quick bool) *Table {
 
 // Fig22SPUtil regenerates Fig 22: utilization during SP — high memory
 // (~26%%), low IP.
-func Fig22SPUtil() *Table {
-	return utilTable("fig22", "NAS SP: memory and IP-link utilization (16P GS1280)", spClass,
+func Fig22SPUtil(env *Env) *Table {
+	return utilTable(env, "fig22", "NAS SP: memory and IP-link utilization (16P GS1280)", spClass,
 		"paper: ~26%% memory controllers, low IP links")
 }
 
 // utilTable runs class c on a 16P GS1280 with the perfmon sampler and
 // tabulates the utilization time series (Figs 20/22).
-func utilTable(id, title string, c appClass, note string) *Table {
+func utilTable(env *Env, id, title string, c appClass, note string) *Table {
 	t := &Table{
 		ID:     id,
 		Title:  title,
 		Header: []string{"t (us)", "memory ctl %", "IP links %"},
 	}
-	m := newGS1280(machine.GS1280Config{W: 4, H: 4, RegionBytes: 32 << 20})
-	warmFootprints(m, 16, c)
-	s := perfmon.NewSampler(m, 10*sim.Microsecond)
-	for i, st := range mixStreams(m, 16, c) {
-		if st != nil {
-			m.CPU(i).Run(st, nil)
+	type args struct{ c appClass }
+	r := gsRig(machine.GS1280Config{W: 4, H: 4, RegionBytes: 32 << 20})
+	snaps := measureRig(env, r, args{c}, func(mm machine.Machine) []perfmon.Snapshot {
+		m := mm.(*machine.GS1280) // the sampler reads a GS1280's counters
+		warmFootprints(m, 16, c)
+		s := perfmon.NewSampler(m, 10*sim.Microsecond)
+		for i, st := range mixStreams(m, 16, c) {
+			if st != nil {
+				m.CPU(i).Run(st, nil)
+			}
 		}
-	}
-	s.Schedule(8)
-	m.Engine().RunUntil(m.Engine().Now() + 85*sim.Microsecond)
-	for _, snap := range s.Snapshots {
+		s.Schedule(8)
+		m.Engine().RunUntil(m.Engine().Now() + 85*sim.Microsecond)
+		return s.Snapshots
+	})
+	for _, snap := range snaps {
 		t.AddRow(f1(snap.At.Microseconds()), f1(snap.AvgZbox()*100), f1(snap.AvgLink()*100))
 	}
 	t.AddNote(note)
 	return t
 }
-
-// Fig23CPUCounts is the GUPS sweep.
-var Fig23CPUCounts = []int{4, 8, 16, 32, 64}
 
 // fig23Row measures GUPS at one machine size on all three machines — one
 // row of Fig 23, independently runnable on env's reusable engines.
@@ -238,7 +237,7 @@ func fig23Spec() Spec {
 		if q {
 			return []int{4, 16, 32}, quickWarm, quickMeasure
 		}
-		return Fig23CPUCounts, 20 * sim.Microsecond, 80 * sim.Microsecond
+		return []int{4, 8, 16, 32, 64}, 20 * sim.Microsecond, 80 * sim.Microsecond // the GUPS sweep
 	}
 	return Spec{
 		ID: "fig23",
@@ -289,21 +288,26 @@ func gupsRate(env *Env, r rig, n int, warm, measure sim.Time) float64 {
 // Fig24GUPSUtil regenerates Fig 24: per-direction link utilization during
 // GUPS on the 32-CPU (8x4) machine — East/West links run hotter than
 // North/South because the long dimension carries more traffic.
-func Fig24GUPSUtil() *Table {
+func Fig24GUPSUtil(env *Env) *Table {
 	t := &Table{
 		ID:     "fig24",
 		Title:  "GUPS on 32P GS1280: memory and per-direction link utilization",
 		Header: []string{"t (us)", "memory ctl %", "N/S links %", "E/W links %"},
 	}
-	m := newGS1280(machine.GS1280Config{W: 8, H: 4, RegionBytes: 16 << 20})
-	s := perfmon.NewSampler(m, 10*sim.Microsecond)
-	total := int64(32) * m.RegionBytes()
-	for i := 0; i < 32; i++ {
-		m.CPU(i).Run(workload.NewGUPS(0, total, 1<<30, uint64(i*104729+7)), nil)
-	}
-	s.Schedule(6)
-	m.Engine().RunUntil(m.Engine().Now() + 65*sim.Microsecond)
-	for _, snap := range s.Snapshots {
+	type args struct{}
+	r := gsRig(machine.GS1280Config{W: 8, H: 4, RegionBytes: 16 << 20})
+	snaps := measureRig(env, r, args{}, func(mm machine.Machine) []perfmon.Snapshot {
+		m := mm.(*machine.GS1280) // the sampler reads a GS1280's counters
+		s := perfmon.NewSampler(m, 10*sim.Microsecond)
+		total := int64(32) * m.RegionBytes()
+		for i := 0; i < 32; i++ {
+			m.CPU(i).Run(workload.NewGUPS(0, total, 1<<30, uint64(i*104729+7)), nil)
+		}
+		s.Schedule(6)
+		m.Engine().RunUntil(m.Engine().Now() + 65*sim.Microsecond)
+		return s.Snapshots
+	})
+	for _, snap := range snaps {
 		t.AddRow(f1(snap.At.Microseconds()), f1(snap.AvgZbox()*100),
 			f1(snap.AvgNS()*100), f1(snap.AvgEW()*100))
 	}

@@ -1,56 +1,51 @@
 package experiments
 
-import (
-	"gs1280/internal/coherence"
-	"gs1280/internal/machine"
-	"gs1280/internal/network"
-)
+import "gs1280/internal/network"
 
-// critDiff is the golden differential mode: when on, every network the
-// experiments build for a single-class population — each openPoint without
-// a criticality mix, and degraded-map's probes — runs with
-// criticality-aware arbitration enabled, and every GS1280 additionally
-// flattens all protocol packets (and the memory controllers' background
-// writes) into one forced class. A single-class population makes the
-// criticality arbiter degenerate to FIFO — see network.Packet's
-// enqueue-age invariant — so in this mode every experiment without a
-// mixed population must reproduce its flag-off output byte for byte. The
-// tail-satur and tail-degraded points inject a mix, so the mode leaves
-// them alone. internal/runner's golden tests toggle it around replays.
-var critDiff critMode
-
-// critMode is the differential mode's state. Memo keys carry it, since it
-// changes what newGS1280 and openPoint.run build.
+// critMode is the golden differential mode, carried by the Env a unit runs
+// on. When on, every network the experiments build for a single-class
+// population — each openPoint without a criticality mix, and
+// degraded-map's probes — runs with criticality-aware arbitration enabled,
+// and every GS1280 (see rig.build) additionally flattens all protocol
+// packets (and the memory controllers' background writes) into the one
+// forced class. A single-class population makes the criticality arbiter
+// degenerate to FIFO — see network.Packet's enqueue-age invariant — so in
+// this mode every experiment without a mixed population must reproduce its
+// flag-off output byte for byte. The tail-satur and tail-degraded points
+// inject a mix, so the mode leaves them alone. Memo keys carry the mode,
+// since it changes what rig.build and openPoint.run build.
 type critMode struct {
 	on     bool
 	forced network.Criticality
 }
 
-// CritDifferential enables the golden differential mode with the given
-// forced class and returns the restore function. It mutates package state:
-// callers toggle it only around otherwise-idle replays (the runner's
-// worker goroutines are started after the toggle and joined before the
-// restore), never concurrently with normal runs.
-func CritDifferential(forced network.Criticality) (restore func()) {
-	critDiff = critMode{on: true, forced: forced}
-	return func() { critDiff = critMode{} }
-}
-
-// newGS1280 is the experiments' single GS1280 construction point: it
-// applies the differential mode, composing with any CohOverride the
-// experiment already set.
-func newGS1280(cfg machine.GS1280Config) *machine.GS1280 {
-	if critDiff.on {
-		cfg.CritArb = true
-		prev := cfg.CohOverride
-		forced := critDiff.forced
-		cfg.CohOverride = func(p *coherence.Params) {
-			if prev != nil {
-				prev(p)
-			}
-			p.ForceCritOn = true
-			p.ForceCrit = forced
+// CritDifferential returns a lookup over the experiment catalog whose
+// specs run every unit with the golden differential mode on, forcing the
+// given class: the mode is set on the unit's Env and cleared when the unit
+// returns. internal/runner's golden tests pass it as Options.Lookup.
+func CritDifferential(forced network.Criticality) func(id string) (Spec, bool) {
+	mode := critMode{on: true, forced: forced}
+	return func(id string) (Spec, bool) {
+		s, ok := SpecByID(id)
+		if !ok {
+			return s, false
 		}
+		units := s.Units
+		s.Units = func(q bool) []Unit {
+			us := units(q)
+			for i := range us {
+				run := us[i].Run
+				us[i].Run = func(env *Env) Part {
+					if env == nil {
+						env = NewEnv(nil)
+					}
+					env.crit = mode
+					defer func() { env.crit = critMode{} }()
+					return run(env)
+				}
+			}
+			return us
+		}
+		return s, true
 	}
-	return machine.NewGS1280(cfg)
 }

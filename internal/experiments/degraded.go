@@ -19,11 +19,6 @@ import (
 // byte-identically (degraded-satur's zero-fault rows are satur-uniform's
 // rows; TestDegradedHealthyRowsMatchSaturUniform pins it).
 
-// DegradedFaultLevels is the failure sweep: a healthy fabric, one failed
-// cable (the row-0 X wrap), and two (adding the column-0 vertical wrap —
-// on a shuffle wiring, the column-0 twist chord).
-var DegradedFaultLevels = []int{0, 1, 2}
-
 // degradedFaults returns the first level failed cables of topo in a
 // deterministic order. The choices are the long cables an operator would
 // actually lose: wrap/chord cables cross drawers, in-grid links are
@@ -79,8 +74,8 @@ func faultAxis(counts ...float64) *openLevel {
 		set: func(p *openPoint, v float64) { p.faults = int(v) }}
 }
 
-// degradedSatur is satur-uniform plus a failed-cables axis (the
-// DegradedFaultLevels) and the fault-recovery counters.
+// degradedSatur is satur-uniform plus a failed-cables axis (degraded-map's
+// fault levels) and the fault-recovery counters.
 var degradedSatur = &openFamily{
 	id:       "degraded-satur",
 	title:    "Degraded fabric: uniform saturation sweep on the 64P (8x8) torus with failed cables",
@@ -132,7 +127,7 @@ func degradedMapColumn(env *Env, wiring int, level int) Part {
 	defer env.scope()() // the fabric is dead once the column returns
 	topo := degradedMapWirings[wiring].mk()
 	params := network.DefaultParams()
-	params.CritArb = critDiff.on // single-class probes: see critDiff
+	params.CritArb = env.mode().on // single-class probes: see critMode
 	net := network.New(env.Engine(), topo, params)
 	for _, k := range degradedFaults(topo, level) {
 		net.FailLink(k)
@@ -168,7 +163,11 @@ func degradedMapSpec() Spec {
 			type col struct{ wiring, level int }
 			var cols []col
 			for w := range degradedMapWirings {
-				for _, level := range DegradedFaultLevels {
+				// The failure sweep: a healthy fabric, one failed cable
+				// (the row-0 X wrap), and two (adding the column-0
+				// vertical wrap — on a shuffle wiring, the column-0
+				// twist chord).
+				for _, level := range []int{0, 1, 2} {
 					cols = append(cols, col{w, level})
 				}
 			}

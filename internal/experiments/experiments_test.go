@@ -342,9 +342,10 @@ var update = flag.Bool("update", false,
 // own ES45 4P at n=16); fig28's GUPS 32P and NAS-SP 16P rows, which are
 // fig23[32P] and fig21's 16P row; fig19's and fig21's SC45 4-CPU rate at
 // n=16, computed at n=4; fig5's 1 MB and 4 MB chases at a 64 B stride,
-// which are fig4's GS1280 rows; and ablation's nak-retry k=30, which is
-// fig15[GS1280/16P,k=30].
-const quickSuiteReuses = 12 + 5 + 4 + 2 + 2 + 1
+// which are fig4's GS1280 rows; ablation's nak-retry k=30, which is
+// fig15[GS1280/16P,k=30]; and fig14[16P]'s GS1280 latency walk, which is
+// fig13's matrix.
+const quickSuiteReuses = 12 + 5 + 4 + 2 + 2 + 1 + 1
 
 // TestRegistryAllQuick renders every experiment's quick table and diffs
 // its CSV against the committed fixture, so each of them is pinned byte
@@ -356,7 +357,9 @@ const quickSuiteReuses = 12 + 5 + 4 + 2 + 2 + 1
 // and explain the change in the commit. The suite renders in paper order
 // through one Env and one memo, as a serial gsbench run does, so every
 // table built from memo hits is pinned too; when every experiment ran,
-// the memo must have served exactly quickSuiteReuses results.
+// the memo must have served exactly quickSuiteReuses results. Every
+// experiment must also release each engine it took from the Env (see
+// TestMeasurementReleasesEngines).
 func TestRegistryAllQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full registry sweep is slow")
@@ -369,6 +372,15 @@ func TestRegistryAllQuick(t *testing.T) {
 			ran++
 			spec, _ := SpecByID(id)
 			tab := spec.run(env, true)
+			if env.next != 0 {
+				t.Errorf("%s left the engine cursor at %d: a measurement ran outside a scope", id, env.next)
+			}
+			for i, e := range env.engines {
+				if e.Executed() != 0 || e.Pending() != 0 {
+					t.Errorf("%s left engine %d with %d executed and %d pending events: not released",
+						id, i, e.Executed(), e.Pending())
+				}
+			}
 			if len(tab.Rows) == 0 {
 				t.Fatalf("%s produced no rows", id)
 			}

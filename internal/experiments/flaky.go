@@ -16,22 +16,19 @@ import (
 // byte-identical to satur-uniform (TestFlakyHealthyRowsMatchSaturUniform
 // pins it): at probability zero the reliable layer is never installed.
 
-// FlakyBERLevels is the per-hop error-probability sweep of flaky-satur:
-// healthy, one error per thousand hops, per hundred, and one per twenty —
-// the last well past anything a real cable survives burn-in with, to show
-// recovery degrading gracefully instead of falling off a cliff.
-var FlakyBERLevels = []float64{0, 0.001, 0.01, 0.05}
-
-var flakyQuickBERs = []float64{0, 0.01}
-
 // flakySatur is satur-uniform plus a fabric-wide bit-error-rate axis and
 // the reliable-link counters. The seed ignores the ber, so the ber=0 rows
-// replay satur-uniform's exact simulations.
+// replay satur-uniform's exact simulations. The full sweep of per-hop
+// error probabilities is healthy, one error per thousand hops, per
+// hundred, and one per twenty — the last well past anything a real cable
+// survives burn-in with, to show recovery degrading gracefully instead of
+// falling off a cliff.
 var flakySatur = &openFamily{
 	id:       "flaky-satur",
 	title:    "Flaky fabric: uniform saturation sweep vs per-hop bit-error rate on the 64P (8x8) torus",
 	variants: routings,
-	level: &openLevel{key: "ber", header: "ber", full: FlakyBERLevels, quick: flakyQuickBERs,
+	level: &openLevel{key: "ber", header: "ber",
+		full: []float64{0, 0.001, 0.01, 0.05}, quick: []float64{0, 0.01},
 		set: func(p *openPoint, v float64) { p.ber = v }},
 	cols: slices.Concat(saturCols, []openCol{colP99, colRetransmits, colDroppedHops, colAckMsgs}),
 	notes: []string{

@@ -6,7 +6,6 @@ import (
 	"gs1280/internal/cpu"
 	"gs1280/internal/machine"
 	"gs1280/internal/sim"
-	"gs1280/internal/topology"
 	"gs1280/internal/workload"
 )
 
@@ -33,32 +32,51 @@ func dirtyLatency(m machine.Machine, from, owner, home int) sim.Time {
 	return m.CPU(from).Stats().AvgLatency()
 }
 
+// latencyWalk returns ReadLatency(m, 0, i) for each CPU i < n, walked in
+// that order on one machine m built from r: the idle-machine latencies of
+// Figs 13 and 14.
+func latencyWalk(env *Env, r rig, n int) []sim.Time {
+	type args struct{ n int }
+	return measureRig(env, r, args{n}, func(m machine.Machine) []sim.Time {
+		lat := make([]sim.Time, n)
+		for i := range lat {
+			lat[i] = ReadLatency(m, 0, i)
+		}
+		return lat
+	})
+}
+
 // Fig12RemoteLatency regenerates Fig 12: latency from CPU0 to every CPU's
 // memory on 16-CPU GS1280 and GS320, plus the read-dirty averages behind
 // the paper's "4x clean / 6.6x dirty" claim.
-func Fig12RemoteLatency() *Table {
+func Fig12RemoteLatency(env *Env) *Table {
 	t := &Table{
 		ID:     "fig12",
 		Title:  "Local/remote latency from CPU0 on 16 CPUs (ns)",
 		Header: []string{"target", "GS1280", "GS320"},
 	}
-	gs := newGS1280(machine.GS1280Config{W: 4, H: 4})
-	old := machine.NewSMP(machine.GS320Config(16))
+	// walk measures each target's clean latency, then its read-dirty one,
+	// in that order on one machine built from r. The dirty line's last
+	// writer is the target CPU itself (or CPU1 for the local row).
+	type args struct{}
+	type target struct{ clean, dirty sim.Time }
+	walk := func(r rig) [16]target {
+		return measureRig(env, r, args{}, func(m machine.Machine) (lat [16]target) {
+			for i := range lat {
+				lat[i].clean = ReadLatency(m, 0, i)
+				lat[i].dirty = dirtyLatency(m, 0, max(i, 1), i)
+			}
+			return lat
+		})
+	}
+	gs, old := walk(gsRig(machine.GS1280Config{W: 4, H: 4})), walk(smpRig(machine.GS320Config(16)))
 	var gsSum, oldSum, gsDirtySum, oldDirtySum float64
-	for i := 0; i < 16; i++ {
-		gl := ReadLatency(gs, 0, i)
-		ol := ReadLatency(old, 0, i)
-		gsSum += gl.Nanoseconds()
-		oldSum += ol.Nanoseconds()
-		// Dirty read: the line's last writer is the target CPU itself
-		// (or CPU1 for the local row).
-		owner := i
-		if i == 0 {
-			owner = 1
-		}
-		gsDirtySum += dirtyLatency(gs, 0, owner, i).Nanoseconds()
-		oldDirtySum += dirtyLatency(old, 0, owner, i).Nanoseconds()
-		t.AddRow(fmt.Sprintf("0 -> %d", i), fns(gl), fns(ol))
+	for i := range gs {
+		gsSum += gs[i].clean.Nanoseconds()
+		oldSum += old[i].clean.Nanoseconds()
+		gsDirtySum += gs[i].dirty.Nanoseconds()
+		oldDirtySum += old[i].dirty.Nanoseconds()
+		t.AddRow(fmt.Sprintf("0 -> %d", i), fns(gs[i].clean), fns(old[i].clean))
 	}
 	t.AddRow("average", f1(gsSum/16), f1(oldSum/16))
 	t.AddNote("clean-read average ratio GS320/GS1280 = %.1fx (paper: 4x)", oldSum/gsSum)
@@ -69,18 +87,19 @@ func Fig12RemoteLatency() *Table {
 // Fig13LatencyMatrix regenerates Fig 13: the 4x4 torus latency matrix
 // from node 0 (paper values: 83 local, 139-154 one hop, 175-195 two hops,
 // 259 worst).
-func Fig13LatencyMatrix() *Table {
+func Fig13LatencyMatrix(env *Env) *Table {
 	t := &Table{
 		ID:     "fig13",
 		Title:  "GS1280 remote latencies (ns) from node 0 on a 4x4 torus",
 		Header: []string{"row", "x=0", "x=1", "x=2", "x=3"},
 	}
-	gs := newGS1280(machine.GS1280Config{W: 4, H: 4})
+	// Node (x, y) is CPU y*4 + x, so row y is a consecutive slice of the
+	// walk: the same walk as fig14's 16-CPU row.
+	lat := latencyWalk(env, gsRig(machine.GS1280Config{W: 4, H: 4}), 16)
 	for y := 0; y < 4; y++ {
 		row := []string{fmt.Sprintf("y=%d", y)}
-		for x := 0; x < 4; x++ {
-			target := int(gs.Topo.Node(topology.Coord{X: x, Y: y}))
-			row = append(row, fns(ReadLatency(gs, 0, target)))
+		for _, l := range lat[4*y : 4*y+4] {
+			row = append(row, fns(l))
 		}
 		t.AddRow(row...)
 	}
@@ -88,31 +107,22 @@ func Fig13LatencyMatrix() *Table {
 	return t
 }
 
-// Fig14CPUCounts is the paper's sweep.
-var Fig14CPUCounts = []int{4, 8, 16, 32, 64}
-
 // fig14Row measures one machine size — one row of Fig 14, independently
 // runnable on env's reusable engines.
 func fig14Row(env *Env, n int) Part {
-	defer env.scope()() // both machines are dead once the row returns
-	w, h := machine.StandardShape(n)
-	gs := newGS1280(machine.GS1280Config{W: w, H: h, Eng: env.Engine()})
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += ReadLatency(gs, 0, i).Nanoseconds()
-	}
-	old := "-"
-	if n <= 32 {
-		cfg := machine.GS320Config(n)
-		cfg.Eng = env.Engine()
-		gm := machine.NewSMP(cfg)
-		var osum float64
-		for i := 0; i < n; i++ {
-			osum += ReadLatency(gm, 0, i).Nanoseconds()
+	avg := func(r rig) string {
+		var sum float64
+		for _, l := range latencyWalk(env, r, n) {
+			sum += l.Nanoseconds()
 		}
-		old = f1(osum / float64(n))
+		return f1(sum / float64(n))
 	}
-	return Part{Rows: [][]string{{fmt.Sprintf("%d", n), f1(sum / float64(n)), old}}}
+	w, h := machine.StandardShape(n)
+	gs, old := avg(gsRig(machine.GS1280Config{W: w, H: h})), "-"
+	if n <= 32 {
+		old = avg(smpRig(machine.GS320Config(n)))
+	}
+	return Part{Rows: [][]string{{fmt.Sprintf("%d", n), gs, old}}}
 }
 
 // fig14Spec regenerates Fig 14: average load-to-use latency from CPU0 to
@@ -121,7 +131,7 @@ func fig14Spec() Spec {
 	return Spec{
 		ID: "fig14",
 		Units: func(q bool) []Unit {
-			counts := Fig14CPUCounts
+			counts := []int{4, 8, 16, 32, 64} // the paper's sweep
 			if q {
 				counts = []int{4, 16, 64}
 			}
@@ -164,18 +174,28 @@ func loadCells(p LoadPoint) (bw, lat string) {
 func loadTest(env *Env, r rig, outstanding []int, warm, measure sim.Time) []LoadPoint {
 	var pts []LoadPoint
 	for _, k := range outstanding {
-		if p, ok := loadPoint(env, r, k, warm, measure); ok {
+		if p, ok := loadPoint(env, r, remoteReads, k, warm, measure); ok {
 			pts = append(pts, p)
 		}
 	}
 	return pts
 }
 
-// loadPoint measures one load-test sample with k references outstanding
-// per CPU on a fresh machine built from r. It reports false for a
-// saturated sample that completed no operations, which the curve skips.
-func loadPoint(env *Env, r rig, k int, warm, measure sim.Time) (LoadPoint, bool) {
+// loadTraffic is a load test's read pattern.
+type loadTraffic int
+
+const (
+	remoteReads  loadTraffic = iota // every CPU reads random lines of all memory (Fig 15)
+	hotSpotReads                    // every CPU but 0 reads random lines of CPU0's memory (Fig 26)
+)
+
+// loadPoint measures one load-test sample of the given traffic with k
+// references outstanding per reading CPU on a fresh machine built from r.
+// It reports false for a saturated sample that completed no operations,
+// which the curve skips.
+func loadPoint(env *Env, r rig, traffic loadTraffic, k int, warm, measure sim.Time) (LoadPoint, bool) {
 	type args struct {
+		traffic       loadTraffic
 		k             int
 		warm, measure sim.Time
 	}
@@ -183,8 +203,9 @@ func loadPoint(env *Env, r rig, k int, warm, measure sim.Time) (LoadPoint, bool)
 		p  LoadPoint
 		ok bool
 	}
-	s := measureRig(env, r, args{k, warm, measure}, func(m machine.Machine) sample {
-		run := workload.RunTimed(m, makeLoadStreams(m, k), warm, measure)
+	s := measureRig(env, r, args{traffic, k, warm, measure}, func(m machine.Machine) sample {
+		run := workload.RunTimed(m, makeLoadStreams(m, traffic, k), warm, measure)
+		// A CPU that runs no stream (CPU0 of a hot spot) adds zeros.
 		var ops uint64
 		var latSum sim.Time
 		for i := 0; i < m.N(); i++ {
@@ -210,17 +231,20 @@ func loadPoint(env *Env, r rig, k int, warm, measure sim.Time) (LoadPoint, bool)
 	return s.p, s.ok
 }
 
-func makeLoadStreams(m machine.Machine, k int) []cpu.Stream {
+func makeLoadStreams(m machine.Machine, traffic loadTraffic, k int) []cpu.Stream {
 	ss := make([]cpu.Stream, m.N())
 	for i := 0; i < m.N(); i++ {
-		m.CPU(i).SetMLP(k)
-		ss[i] = workload.NewRandomRemote(i, m.N(), m.RegionBytes(), 1<<30, uint64(i*2654435761+1))
+		switch {
+		case traffic == remoteReads:
+			m.CPU(i).SetMLP(k)
+			ss[i] = workload.NewRandomRemote(i, m.N(), m.RegionBytes(), 1<<30, uint64(i*2654435761+1))
+		case i > 0:
+			m.CPU(i).SetMLP(k)
+			ss[i] = workload.NewHotSpot(m.RegionBase(0), m.RegionBytes(), 1<<30, uint64(i*31+5))
+		}
 	}
 	return ss
 }
-
-// Fig15Outstanding is the full sweep (the paper runs 1..30).
-var Fig15Outstanding = []int{1, 2, 4, 8, 12, 16, 24, 30}
 
 // fig15Config is one curve of the Fig 15 load test: its name and the
 // machine each of its samples builds. The rig is held by pointer because
@@ -252,7 +276,7 @@ func fig15Configs() []fig15Config {
 // completed no operations yields an empty part, matching loadTest's
 // skip-empty behaviour.
 func fig15Point(env *Env, c fig15Config, k int, warm, measure sim.Time) Part {
-	p, ok := loadPoint(env, *c.rig, k, warm, measure)
+	p, ok := loadPoint(env, *c.rig, remoteReads, k, warm, measure)
 	if !ok {
 		return Part{}
 	}
@@ -268,7 +292,8 @@ func fig15Spec() Spec {
 		if q {
 			return []int{1, 8, 30}, quickWarm, quickMeasure
 		}
-		return Fig15Outstanding, 20 * sim.Microsecond, 60 * sim.Microsecond
+		// The full sweep (the paper runs 1..30).
+		return []int{1, 2, 4, 8, 12, 16, 24, 30}, 20 * sim.Microsecond, 60 * sim.Microsecond
 	}
 	return Spec{
 		ID: "fig15",

@@ -3,19 +3,19 @@ package experiments
 import (
 	"sync"
 
+	"gs1280/internal/coherence"
 	"gs1280/internal/machine"
 	"gs1280/internal/sim"
 	"gs1280/internal/topology"
 )
 
-// Memo is a run-scoped store of completed measurements. Each simulation
-// helper that builds its own machine or network from values —
-// openPoint.run, triadBandwidth, appRate, gupsRate, loadPoint and
-// chaseLatency — keys its measurement with every input that can change it
-// and consults the memo of its Env: a repeated key returns the stored
-// result without building or simulating anything. A result is a
-// deterministic function of its key, so a hit returns exactly what
-// computing would, and every table stays byte-identical.
+// Memo is a run-scoped store of completed measurements. Every measurement
+// that builds its own machine or network from values — openPoint.run, and
+// each helper that measures through measureRig — keys itself with every
+// input that can change it and consults the memo of its Env: a repeated
+// key returns the stored result without building or simulating anything.
+// A result is a deterministic function of its key, so a hit returns
+// exactly what computing would, and every table stays byte-identical.
 //
 // A Memo is safe for concurrent use, and a lookup never waits: a unit that
 // misses computes, even while another slot computes the same key, and only
@@ -47,8 +47,8 @@ func (m *Memo) store(key, v any) {
 	}
 }
 
-// memoKey is a helper's key plus the crit-differential mode, which
-// newGS1280 and openPoint.run read besides their arguments.
+// memoKey is a helper's key plus the Env's crit-differential mode, which
+// rig.build and openPoint.run read besides their arguments.
 type memoKey[K comparable] struct {
 	key  K
 	crit critMode
@@ -61,7 +61,7 @@ func memoized[K comparable, V any](env *Env, key K, compute func() V) V {
 	if env == nil || env.memo == nil {
 		return scoped(env, compute)
 	}
-	k := memoKey[K]{key, critDiff}
+	k := memoKey[K]{key, env.crit}
 	if v, ok := env.memo.load(k); ok {
 		env.reused++
 		return v.(V)
@@ -123,8 +123,11 @@ func (r rig) key() rigKey {
 	}
 }
 
-// build builds the rig's machine on eng.
-func (r rig) build(eng *sim.Engine) machine.Machine {
+// build builds the rig's machine on eng: the package's only machine
+// constructor call. Under the crit differential a GS1280 also arbitrates by
+// criticality with every packet forced into crit's class, composed with
+// any CohOverride the rig sets.
+func (r rig) build(eng *sim.Engine, crit critMode) machine.Machine {
 	if r.smp.CPUs > 0 {
 		cfg := r.smp
 		cfg.Eng = eng
@@ -132,16 +135,30 @@ func (r rig) build(eng *sim.Engine) machine.Machine {
 	}
 	cfg := r.gs
 	cfg.Eng = eng
-	return newGS1280(cfg)
+	if crit.on {
+		cfg.CritArb = true
+		prev := cfg.CohOverride
+		cfg.CohOverride = func(p *coherence.Params) {
+			if prev != nil {
+				prev(p)
+			}
+			p.ForceCritOn = true
+			p.ForceCrit = crit.forced
+		}
+	}
+	return machine.NewGS1280(cfg)
 }
 
 // measureRig builds r on the unit's next engine and returns measure's
-// result on it, memoized under r and args. Each helper passes its
-// arguments as a struct type of its own, so two helpers' keys never
-// collide. A GS1280 with an override function (ablation's det-routing and
-// closed-page rows) is measured without the memo.
+// result on it, memoized under r and args; it is how the package builds
+// every machine. Each helper passes its arguments as a struct type of its
+// own, so two helpers' keys never collide. measure returns only values:
+// a result that referenced the machine would keep it alive for the whole
+// run. Callers treat a served slice as read-only. A GS1280 with an
+// override function (ablation's det-routing and closed-page rows) is
+// measured without the memo.
 func measureRig[A comparable, V any](env *Env, r rig, args A, measure func(machine.Machine) V) V {
-	compute := func() V { return measure(r.build(env.Engine())) }
+	compute := func() V { return measure(r.build(env.Engine(), env.mode())) }
 	if g := r.gs; g.NetOverride != nil || g.CohOverride != nil || g.ZboxOverride != nil {
 		return scoped(env, compute)
 	}

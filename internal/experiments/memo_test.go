@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"gs1280/internal/machine"
+	"gs1280/internal/network"
 	"gs1280/internal/sim"
 	"gs1280/internal/traffic"
 )
@@ -159,6 +160,62 @@ func TestMemoServesRepeatedPoint(t *testing.T) {
 	openPoint{rate: 5, seed: 2}.run(env, quickWarm, quickMeasure)
 	if env.Reused() != 1 {
 		t.Errorf("a point with another seed was served from the memo")
+	}
+}
+
+// TestMemoKeysSeparateCritModes: every memo key carries its Env's
+// crit-differential mode, so of two Envs sharing one memo, one under the
+// mode, neither is served the other's result. The results are still equal:
+// on single-class traffic the crit arbiter reduces to FIFO, the golden
+// differential's identity at the level of one measurement.
+func TestMemoKeysSeparateCritModes(t *testing.T) {
+	memo := NewMemo()
+	off, on := NewEnv(memo), NewEnv(memo)
+	on.crit = critMode{on: true, forced: network.CritBackground}
+	type results struct {
+		open  traffic.Result
+		chase sim.Time
+	}
+	measure := func(env *Env) results {
+		env.BeginUnit()
+		return results{
+			openPoint{rate: 5, seed: 1}.run(env, quickWarm, quickMeasure),
+			chaseLatency(env, gsRig(machine.GS1280Config{W: 2, H: 1}), 2<<20, 64, 1000),
+		}
+	}
+	want, got := measure(off), measure(on)
+	if off.Reused() != 0 || on.Reused() != 0 {
+		t.Errorf("reused %d results off the mode and %d under it, want 0 and 0", off.Reused(), on.Reused())
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("the crit differential changed a single-class measurement:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestCritDifferentialModeReachesUnits checks the plumbing the golden
+// replay cannot: single-class results are equal with the mode on or off,
+// so a lookup whose units lost the mode would still replay every fixture.
+// A CritDifferential unit must key its measurements apart from the
+// catalog's unit, and leave its Env with the mode off.
+func TestCritDifferentialModeReachesUnits(t *testing.T) {
+	lookup := CritDifferential(network.CritDemand)
+	if _, ok := lookup("fig99"); ok {
+		t.Error("the differential lookup accepted an unknown id")
+	}
+	crit, _ := lookup("fig13")
+	plain, _ := SpecByID("fig13")
+	memo := NewMemo()
+	on, off := NewEnv(memo), NewEnv(memo)
+	want := crit.run(on, true)
+	if on.mode() != (critMode{}) {
+		t.Errorf("the unit left its Env under the mode %+v", on.mode())
+	}
+	got := plain.run(off, true)
+	if off.Reused() != 0 {
+		t.Errorf("the catalog's fig13 was served %d of the differential's results: its unit ran without the mode", off.Reused())
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("the differential changed fig13:\n got %+v\nwant %+v", got, want)
 	}
 }
 

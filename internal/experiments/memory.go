@@ -9,13 +9,6 @@ import (
 	"gs1280/internal/workload"
 )
 
-// Fig04Sizes is the paper's dataset-size sweep (4 KB to 64 MB; the paper
-// continues to 128 MB but the curves are flat past 64 MB).
-var Fig04Sizes = []int64{
-	4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10, 256 << 10,
-	512 << 10, 1 << 20, 2 << 20, 4 << 20, 8 << 20, 16 << 20, 32 << 20, 64 << 20,
-}
-
 // fig04Row measures one dataset size on the three machines — one row of
 // Fig 4, independently runnable: each measurement builds a fresh machine
 // on env's reusable engines.
@@ -38,7 +31,12 @@ func fig04Spec() Spec {
 	return Spec{
 		ID: "fig4",
 		Units: func(q bool) []Unit {
-			sizes := Fig04Sizes
+			// The paper's dataset-size sweep, 4 KB to 64 MB: the paper
+			// continues to 128 MB, but the curves are flat past 64 MB.
+			sizes := []int64{
+				4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10, 256 << 10,
+				512 << 10, 1 << 20, 2 << 20, 4 << 20, 8 << 20, 16 << 20, 32 << 20, 64 << 20,
+			}
 			if q {
 				sizes = []int64{16 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20, 32 << 20}
 			}
@@ -58,19 +56,15 @@ func fig04Spec() Spec {
 	}
 }
 
-// Fig05Strides and Fig05Sizes span the Fig 5 surface.
-var (
-	Fig05Strides = []int64{16, 64, 256, 1 << 10, 4 << 10, 16 << 10}
-	Fig05Sizes   = []int64{4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20}
-)
-
 // Fig05StrideSweep regenerates Fig 5: GS1280 dependent-load latency as
 // both dataset size and stride grow. Large strides defeat the RDRAM
 // open-page hits, raising memory latency from ~83 ns toward ~130 ns. The
 // quick plan is a 3x3 corner of the surface: L1, L2 and memory sizes at
 // an open-page, a mid and a closed-page stride.
 func Fig05StrideSweep(env *Env, quick bool) *Table {
-	sizes, strides := Fig05Sizes, Fig05Strides
+	// The full plan spans the Fig 5 surface.
+	sizes := []int64{4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20}
+	strides := []int64{16, 64, 256, 1 << 10, 4 << 10, 16 << 10}
 	if quick {
 		sizes, strides = []int64{64 << 10, 1 << 20, 4 << 20}, []int64{64, 1 << 10, 16 << 10}
 	}
@@ -139,14 +133,11 @@ func triadBandwidth(env *Env, r rig, n int, arrayBytes int64, warm, measure sim.
 	})
 }
 
-// Fig06CPUCounts is the paper's scaling sweep.
-var Fig06CPUCounts = []int{1, 2, 4, 8, 16, 32, 64}
-
 // Fig06StreamScaling regenerates Fig 6: STREAM Triad bandwidth scaling.
 // GS1280 scales linearly (private Zboxes per CPU); GS320 saturates per
 // QBB; SC45 scales in steps of four (cluster nodes share a bus).
 func Fig06StreamScaling(env *Env, quick bool) *Table {
-	counts := Fig06CPUCounts
+	counts := []int{1, 2, 4, 8, 16, 32, 64} // the paper's scaling sweep
 	if quick {
 		counts = []int{1, 4, 16}
 	}

@@ -78,9 +78,10 @@ func (p openPoint) run(env *Env, warm, measure sim.Time) traffic.Result {
 		params := network.DefaultParams()
 		params.Policy = p.policy
 		params.DisableAdaptive = p.escape
-		// The golden differential forces arbitration on for exactly the
-		// single-class points, where it must reduce to FIFO.
-		params.CritArb = p.critArb || critDiff.on && p.bgFrac == 0 && p.ctlFrac == 0
+		// The golden differential (see critMode) forces arbitration on
+		// for exactly the single-class points, where it must reduce to
+		// FIFO.
+		params.CritArb = p.critArb || env.mode().on && p.bgFrac == 0 && p.ctlFrac == 0
 		if p.ber > 0 {
 			params.LinkDropRate = p.ber / 2
 			params.LinkCorruptRate = p.ber / 2
@@ -107,13 +108,16 @@ func (p openPoint) run(env *Env, warm, measure sim.Time) traffic.Result {
 	})
 }
 
-// openPlan returns the offered-load sweep and windows of the open-loop
-// experiments.
+// openPlan returns the offered-load sweep, in packets per node per
+// microsecond, and windows of the open-loop experiments.
 func openPlan(q bool) (rates []float64, warm, measure sim.Time) {
 	if q {
 		return saturQuickRates, quickWarm, quickMeasure
 	}
-	return SaturRates, 15 * sim.Microsecond, 40 * sim.Microsecond
+	// The full sweep spans idle to past the knee for every pattern: the
+	// 64P torus saturates in the mid-40s for adaptive uniform traffic,
+	// earlier for transpose and hotspot.
+	return []float64{2, 5, 10, 15, 20, 25, 30, 40, 50, 60}, 15 * sim.Microsecond, 40 * sim.Microsecond
 }
 
 // openVariant is one entry of a variant axis: the name that labels the

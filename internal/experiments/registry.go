@@ -22,17 +22,27 @@ const (
 // fresh one (see sim.Engine.Reset), and a memo hit returns exactly what
 // computing would, so results do not depend on which slot ran a unit or
 // what it ran before — the property TestGoldenOutputsAcrossWorkerCounts
-// pins.
+// pins. The Env also carries the crit-differential mode (see critMode),
+// which only CritDifferential's specs set.
 //
-// A nil *Env is valid: it hands out fresh engines and has no memo, so
-// every measurement is simulated. The tests that compare two simulations
-// of one point rely on that.
+// A nil *Env is valid: it hands out fresh engines, has no memo and runs
+// with the differential mode off, so every measurement is simulated. The
+// tests that compare two simulations of one point rely on that.
 type Env struct {
 	engines []*sim.Engine
 	next    int
 	memo    *Memo
 	reused  int
 	events  uint64 // events the engines ran before scope released them
+	crit    critMode
+}
+
+// mode reports the crit-differential mode units on env run under.
+func (v *Env) mode() critMode {
+	if v == nil {
+		return critMode{}
+	}
+	return v.crit
 }
 
 // NewEnv returns an empty environment whose units consult memo; a nil memo
@@ -58,8 +68,10 @@ func (v *Env) BeginUnit() {
 }
 
 // Engine returns the next engine of the unit's sequence, reset to pristine
-// state. Units call it once per concurrently-live machine or network they
-// build (calls within one open scope return distinct engines).
+// state. Its only callers are the package's three measurement builders —
+// measureRig for every machine, openPoint.run and degradedMapColumn for
+// networks — each inside a scope (calls within one open scope return
+// distinct engines).
 func (v *Env) Engine() *sim.Engine {
 	if v == nil {
 		return sim.NewEngine()
@@ -204,22 +216,22 @@ func specs() []Spec {
 		whole("fig9", func(*Env, bool) *Table { return Fig09IPCint() }),
 		whole("fig10", func(*Env, bool) *Table { return Fig10UtilFp() }),
 		whole("fig11", func(*Env, bool) *Table { return Fig11UtilInt() }),
-		whole("fig12", func(*Env, bool) *Table { return Fig12RemoteLatency() }),
-		whole("fig13", func(*Env, bool) *Table { return Fig13LatencyMatrix() }),
+		whole("fig12", func(env *Env, _ bool) *Table { return Fig12RemoteLatency(env) }),
+		whole("fig13", func(env *Env, _ bool) *Table { return Fig13LatencyMatrix(env) }),
 		fig14Spec(),
 		fig15Spec(),
 		whole("tab1", func(*Env, bool) *Table { return Tab1ShuffleAnalytic() }),
 		fig1617Spec(),
 		whole("fig18", Fig18ShuffleMeasured),
 		whole("fig19", Fig19Fluent),
-		whole("fig20", func(*Env, bool) *Table { return Fig20FluentUtil() }),
+		whole("fig20", func(env *Env, _ bool) *Table { return Fig20FluentUtil(env) }),
 		whole("fig21", Fig21NASSP),
-		whole("fig22", func(*Env, bool) *Table { return Fig22SPUtil() }),
+		whole("fig22", func(env *Env, _ bool) *Table { return Fig22SPUtil(env) }),
 		fig23Spec(),
-		whole("fig24", func(*Env, bool) *Table { return Fig24GUPSUtil() }),
+		whole("fig24", func(env *Env, _ bool) *Table { return Fig24GUPSUtil(env) }),
 		whole("fig25", func(*Env, bool) *Table { return Fig25StripingDegradation() }),
-		whole("fig26", func(_ *Env, q bool) *Table { return Fig26HotSpotStriping(q) }),
-		whole("fig27", func(*Env, bool) *Table { return Fig27Xmesh() }),
+		whole("fig26", Fig26HotSpotStriping),
+		whole("fig27", func(env *Env, _ bool) *Table { return Fig27Xmesh(env) }),
 		whole("fig28", Fig28Summary),
 		saturUniform.spec(),
 		saturTranspose.spec(),

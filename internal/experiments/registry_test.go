@@ -114,7 +114,7 @@ func TestSweepSpecsExposeUnits(t *testing.T) {
 // artifact: one header line plus one line per row, all with the same
 // column count, and no note leakage.
 func TestCSVShape(t *testing.T) {
-	tab := Fig13LatencyMatrix()
+	tab := Fig13LatencyMatrix(nil)
 	csv := tab.CSV()
 	lines := strings.Split(strings.TrimRight(csv, "\n"), "\n")
 	if len(lines) != 1+len(tab.Rows) {

@@ -17,12 +17,7 @@ import (
 // wiring diagrams with no measured counterpart, so fig16x17 maps latency
 // under load across traffic permutations and wirings.
 
-// SaturRates is the offered-load sweep of the satur-* experiments, in
-// packets per node per microsecond. The 64P torus saturates in the mid-40s
-// for adaptive uniform traffic (earlier for transpose and hotspot), so the
-// sweep spans idle to past the knee for every pattern.
-var SaturRates = []float64{2, 5, 10, 15, 20, 25, 30, 40, 50, 60}
-
+// saturQuickRates is the quick plan's offered-load sweep (see openPlan).
 var saturQuickRates = []float64{5, 20, 60}
 
 // routings is the variant axis of the sweeps that compare adaptive routing

@@ -49,14 +49,12 @@ func Tab1ShuffleAnalytic() *Table {
 	return t
 }
 
-// Fig18Outstanding is the full load sweep for the 8-CPU prototype.
-var Fig18Outstanding = []int{1, 2, 3, 4, 6, 8, 12, 16}
-
 // Fig18ShuffleMeasured regenerates Fig 18: the same random-read load test
 // on the 8-CPU machine wired as a torus, as a shuffle using the chords as
 // first hop only, and as a shuffle allowing them for two hops.
 func Fig18ShuffleMeasured(env *Env, quick bool) *Table {
-	outstanding, warm, measure := Fig18Outstanding, 20*sim.Microsecond, 60*sim.Microsecond
+	// The full plan is the paper's load sweep for the 8-CPU prototype.
+	outstanding, warm, measure := []int{1, 2, 3, 4, 6, 8, 12, 16}, 20*sim.Microsecond, 60*sim.Microsecond
 	if quick {
 		outstanding, warm, measure = []int{2, 8}, quickWarm, quickMeasure
 	}

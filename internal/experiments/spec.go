@@ -6,10 +6,6 @@ import (
 	"gs1280/internal/specmodel"
 )
 
-// Fig01CPUCounts is the published-results sweep of Fig 1, the quick and
-// full plan alike: the trait model simulates nothing.
-var Fig01CPUCounts = []int{1, 2, 4, 8, 16, 32}
-
 // Fig01SPECfpRate regenerates Fig 1: SPECfp_rate2000 scaling. GS1280
 // scales linearly (private memory per CPU); SC45 scales in 4-CPU node
 // steps; GS320 bends as each QBB's bus saturates.
@@ -19,7 +15,9 @@ func Fig01SPECfpRate() *Table {
 		Title:  "SPECfp_rate2000 (peak, modeled) vs CPUs",
 		Header: []string{"CPUs", "GS1280/1.15GHz", "SC45/1.25GHz", "GS320/1.2GHz"},
 	}
-	for _, n := range Fig01CPUCounts {
+	// The published-results sweep, the quick and full plan alike: the
+	// trait model simulates nothing.
+	for _, n := range []int{1, 2, 4, 8, 16, 32} {
 		t.AddRow(fmt.Sprintf("%d", n),
 			f1(specmodel.FPRate(specmodel.GS1280Model(), n)),
 			f1(specmodel.FPRate(specmodel.SC45Model(), n)),

@@ -41,12 +41,18 @@ func Fig28Summary(env *Env, quick bool) *Table {
 	obw32 := triad(smpRig(machine.GS320Config(32)), 32)
 	t.AddRow("memory copy bw (32P)", f2(bw32/obw32))
 
-	gsLat := newGS1280(machine.GS1280Config{W: 4, H: 4})
-	oldLat := machine.NewSMP(machine.GS320Config(16))
-	t.AddRow("memory latency (local)",
-		f2(ReadLatency(oldLat, 0, 0).Nanoseconds()/ReadLatency(gsLat, 0, 0).Nanoseconds()))
-	t.AddRow("memory latency (dirty remote)",
-		f2(dirtyLatency(oldLat, 0, 10, 10).Nanoseconds()/dirtyLatency(gsLat, 0, 10, 10).Nanoseconds()))
+	// lat measures CPU0's local clean latency, then its read-dirty latency
+	// to a line CPU10 homes and last wrote, in that order on one machine.
+	type latArgs struct{}
+	type latencies struct{ local, dirty sim.Time }
+	lat := func(r rig) latencies {
+		return measureRig(env, r, latArgs{}, func(m machine.Machine) latencies {
+			return latencies{ReadLatency(m, 0, 0), dirtyLatency(m, 0, 10, 10)}
+		})
+	}
+	gsLat, oldLat := lat(gsRig(machine.GS1280Config{W: 4, H: 4})), lat(smpRig(machine.GS320Config(16)))
+	t.AddRow("memory latency (local)", f2(oldLat.local.Nanoseconds()/gsLat.local.Nanoseconds()))
+	t.AddRow("memory latency (dirty remote)", f2(oldLat.dirty.Nanoseconds()/gsLat.dirty.Nanoseconds()))
 
 	// IP bandwidth: peak delivered in the random load test at 16
 	// outstanding per CPU.

@@ -92,49 +92,49 @@ var tailDegraded = &openFamily{
 	},
 }
 
-// tailMissCounts is the machine-size sweep of tail-miss.
-var tailMissCounts = []int{16, 32}
-
 // tailMissPoint measures miss-latency quantiles for GUPS on one GS1280
 // size, with criticality-aware arbitration per variant — the machine-level
 // view where prioritizing demand misses over victim writebacks is supposed
 // to pay off.
 func tailMissPoint(env *Env, n int, v tailVariant, warm, measure sim.Time) Part {
-	defer env.scope()() // the machine is dead once the point returns
+	type args struct {
+		n             int
+		warm, measure sim.Time
+	}
 	w, h := machine.StandardShape(n)
-	m := newGS1280(machine.GS1280Config{
-		W: w, H: h, RegionBytes: 16 << 20, CritArb: v.critArb, Eng: env.Engine(),
+	r := gsRig(machine.GS1280Config{W: w, H: h, RegionBytes: 16 << 20, CritArb: v.critArb})
+	cells := measureRig(env, r, args{n, warm, measure}, func(mm machine.Machine) []string {
+		m := mm.(*machine.GS1280) // the histograms are a GS1280's
+		total := int64(n) * m.RegionBytes()
+		for i := 0; i < n; i++ {
+			m.CPU(i).Run(workload.NewGUPS(0, total, 1<<30, uint64(i*104729+7)), nil)
+		}
+		eng := m.Engine()
+		begin := eng.Now()
+		eng.RunUntil(begin + warm)
+		m.ResetStats() // histograms reset with the counters: the window is the measure interval
+		t0 := eng.Now()
+		eng.RunUntil(begin + warm + measure)
+		var ops uint64
+		for i := 0; i < n; i++ {
+			ops += m.CPU(i).Stats().Ops
+		}
+		rate := 0.0
+		if iv := eng.Now() - t0; iv > 0 {
+			rate = float64(ops) / iv.Seconds() / 1e6
+		}
+		miss := m.Coh.MissLatencyHist().Quantiles()
+		packet := m.Net.PacketLatency()
+		pq := packet.Quantiles()
+		res := m.Net.ResidencyHist().Quantiles()
+		return []string{
+			f1(rate),
+			fq(miss.P50), fq(miss.P95), fq(miss.P99), fq(miss.P999),
+			fq(pq.P50), fq(pq.P99),
+			fq(res.P99),
+		}
 	})
-	total := int64(n) * m.RegionBytes()
-	for i := 0; i < n; i++ {
-		m.CPU(i).Run(workload.NewGUPS(0, total, 1<<30, uint64(i*104729+7)), nil)
-	}
-	eng := m.Engine()
-	begin := eng.Now()
-	eng.RunUntil(begin + warm)
-	m.ResetStats() // histograms reset with the counters: the window is the measure interval
-	t0 := eng.Now()
-	eng.RunUntil(begin + warm + measure)
-	var ops uint64
-	for i := 0; i < n; i++ {
-		ops += m.CPU(i).Stats().Ops
-	}
-	rate := 0.0
-	if iv := eng.Now() - t0; iv > 0 {
-		rate = float64(ops) / iv.Seconds() / 1e6
-	}
-	miss := m.Coh.MissLatencyHist().Quantiles()
-	packet := m.Net.PacketLatency()
-	pq := packet.Quantiles()
-	res := m.Net.ResidencyHist().Quantiles()
-	return Part{Rows: [][]string{{
-		fmt.Sprintf("%d", n),
-		v.name,
-		f1(rate),
-		fq(miss.P50), fq(miss.P95), fq(miss.P99), fq(miss.P999),
-		fq(pq.P50), fq(pq.P99),
-		fq(res.P99),
-	}}}
+	return Part{Rows: [][]string{append([]string{fmt.Sprintf("%d", n), v.name}, cells...)}}
 }
 
 // tailMissSpec exposes the machine-level sweep as one unit per
@@ -144,7 +144,7 @@ func tailMissSpec() Spec {
 		if q {
 			return []int{16}, quickWarm, quickMeasure
 		}
-		return tailMissCounts, 20 * sim.Microsecond, 80 * sim.Microsecond
+		return []int{16, 32}, 20 * sim.Microsecond, 80 * sim.Microsecond // the machine-size sweep
 	}
 	return Spec{
 		ID: "tail-miss",

@@ -29,7 +29,7 @@ func TestGoldenOutputsAcrossWorkerCounts(t *testing.T) {
 		"satur-hotspot", "degraded-satur", "degraded-map", "tail-satur", "tail-degraded",
 		"tail-miss", "flaky-satur", "flaky-quarantine"}
 	for _, workers := range []int{1, 8} {
-		replayGoldens(t, ids, workers, "")
+		replayGoldens(t, ids, workers, nil, "")
 	}
 }
 
@@ -43,21 +43,24 @@ func TestGoldenOutputsAcrossWorkerCounts(t *testing.T) {
 // apart), must replay byte-identically at every worker count. The tail-*
 // fixtures are excluded: their crit rows measure a genuinely mixed
 // population, which is exactly what the differential mode flattens away.
+// The mode reaches the units through the lookup: CritDifferential's specs
+// set it on the Env of each unit they run.
 func TestGoldenOutputsUnderCritDifferential(t *testing.T) {
 	ids := []string{"fig12", "fig15", "fig16x17", "satur-uniform", "satur-transpose",
 		"satur-hotspot", "degraded-satur", "degraded-map", "flaky-satur", "flaky-quarantine"}
 	for _, forced := range []network.Criticality{network.CritDemand, network.CritBackground} {
-		restore := experiments.CritDifferential(forced)
+		lookup := experiments.CritDifferential(forced)
 		for _, workers := range []int{1, 8} {
-			replayGoldens(t, ids, workers, "forced="+forced.String()+" ")
+			replayGoldens(t, ids, workers, lookup, "forced="+forced.String()+" ")
 		}
-		restore()
 	}
 }
 
-func replayGoldens(t *testing.T, ids []string, workers int, mode string) {
+// replayGoldens runs ids at the given worker count through lookup (nil
+// means the catalog) and diffs each quick CSV against its fixture.
+func replayGoldens(t *testing.T, ids []string, workers int, lookup func(string) (experiments.Spec, bool), mode string) {
 	t.Helper()
-	results, err := Run(context.Background(), ids, Options{Workers: workers, Quick: true})
+	results, err := Run(context.Background(), ids, Options{Workers: workers, Quick: true, Lookup: lookup})
 	if err != nil {
 		t.Fatalf("%sj=%d: %v", mode, workers, err)
 	}
